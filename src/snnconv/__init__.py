@@ -41,7 +41,6 @@ from .datasets import (
     synthetic_digits,
 )
 from .engine import (
-    IfState,
     SimResult,
     SnnNetwork,
     Stage,
@@ -50,9 +49,10 @@ from .engine import (
     conversion_report,
     convert,
     even_timing_phi,
+    if_scan,
+    if_step,
     snn_forced_phi,
     snn_simulate,
-    snn_step,
     srp_inference,
 )
 from .errors import (
@@ -94,9 +94,9 @@ __all__ = [
     "load_checkpoint", "save_checkpoint",
     "DatasetHandle", "load_csv_dataset", "load_idx_pair",
     "standardization_stats", "standardize", "synthetic_digits",
-    "IfState", "SimResult", "SnnNetwork", "Stage", "TraceRecorder",
+    "SimResult", "SnnNetwork", "Stage", "TraceRecorder",
     "constant_current_phi", "conversion_report", "convert",
-    "even_timing_phi", "snn_forced_phi", "snn_simulate", "snn_step",
+    "even_timing_phi", "if_scan", "if_step", "snn_forced_phi", "snn_simulate",
     "srp_inference",
     "ConversionError", "DataFormatError", "DataValidationError",
     "PairingError", "ParameterError", "ShapeError", "SnnConvError",

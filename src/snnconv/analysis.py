@@ -35,7 +35,7 @@ from itertools import combinations
 import numpy as np
 
 from .activation import qcfs
-from .engine import SnnNetwork, snn_simulate, srp_inference
+from .engine import SnnNetwork, if_scan, snn_simulate, srp_inference
 from .errors import ParameterError, PairingError, SnnConvError
 from .network import NetworkSpec, ann_forward
 
@@ -60,17 +60,7 @@ def classify_case(a: float, phi: float, lam: float, eps: float = EPS_DEFAULT) ->
     on grids with spacing >= lam/steps, so genuine mismatches always clear
     it.  Raises for ``a`` outside [0, lam] beyond tolerance.
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    if a < -eps or a > lam + eps:
-        raise ParameterError(f"ANN output {a} outside [0, {lam}]")
-    if abs(phi - a) <= eps:
-        return UnevennessCase.NO_ERROR
-    if a <= eps:
-        return UnevennessCase.CASE1 if phi > a else UnevennessCase.NO_ERROR
-    if a >= lam - eps:
-        return UnevennessCase.CASE4 if phi < a else UnevennessCase.NO_ERROR
-    return UnevennessCase.CASE2 if phi > a else UnevennessCase.CASE3
+    return ALL_CASES[int(classify_cases(a, phi, lam, eps))]
 
 
 def classify_cases(a: np.ndarray, phi: np.ndarray, lam: float,
@@ -86,7 +76,7 @@ def classify_cases(a: np.ndarray, phi: np.ndarray, lam: float,
     codes = np.zeros(a.shape, dtype=np.int64)
     differs = np.abs(phi - a) > eps
     zero = a <= eps
-    top = a >= lam - eps
+    top = ~zero & (a >= lam - eps)
     mid = ~zero & ~top
     codes[differs & zero & (phi > a)] = 1
     codes[differs & mid & (phi > a)] = 2
@@ -279,19 +269,6 @@ class TheoremVerdict:
     passed: bool
 
 
-def _simulate_placements(currents: np.ndarray, theta: float):
-    """IF bank over all placement rows; returns (spike counts, v final)."""
-    m, timesteps = currents.shape
-    v = np.full(m, 0.5 * theta)
-    count = np.zeros(m, dtype=np.int64)
-    for t in range(timesteps):
-        u = v + currents[:, t]
-        s = u >= theta
-        v = u - theta * s
-        count += s
-    return count, v
-
-
 def _forced_ann_value(weights, counts, timesteps: int, theta: float,
                       presyn_theta: float):
     """Quantized output for time-averaged presynaptic rates; (a, grid index)."""
@@ -311,6 +288,58 @@ def _judge(count: np.ndarray, v_final: np.ndarray, k_ann: int):
     return over == negative, "positive-activation"
 
 
+def _theorem_instance(weights, counts, timesteps: int):
+    """Shared validation; returns ``(weights, counts)`` as tuples."""
+    weights = tuple(float(w) for w in np.atleast_1d(weights))
+    counts = tuple(int(k) for k in np.atleast_1d(counts))
+    if len(weights) != len(counts):
+        raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
+    if not weights:
+        raise ParameterError("need at least one presynaptic neuron")
+    if timesteps < 1:
+        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
+    if any(k < 0 or k > timesteps for k in counts):
+        raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
+    return weights, counts
+
+
+def _placement_currents(weights, timesteps: int, presyn_theta: float,
+                        placements: list) -> np.ndarray:
+    """Postsynaptic current of every placement row, shaped ``(T, rows)``."""
+    currents = np.zeros((len(placements[0][1]), timesteps))
+    for w, (options, rows) in zip(weights, placements):
+        train = np.zeros((len(options), timesteps))
+        np.put_along_axis(train, options, 1.0, axis=1)
+        currents += w * presyn_theta * train[rows]
+    return currents.T
+
+
+def _check_placements(weights, counts, timesteps: int, theta: float,
+                      presyn_theta: float, placements: list) -> list:
+    """Simulate every placement row with :func:`if_scan` and judge it.
+
+    ``placements`` holds, per presynaptic neuron, ``(options, rows)``: an
+    integer array whose rows are candidate spike-step sets, and the option
+    each placement row uses.
+    """
+    count, v_final = if_scan(
+        _placement_currents(weights, timesteps, presyn_theta, placements), theta)
+    phi = theta * (count / timesteps)
+    a, k_ann = _forced_ann_value(weights, counts, timesteps, theta, presyn_theta)
+    passed, clause = _judge(count, v_final, k_ann)
+
+    choices = [(list(map(tuple, options.tolist())), rows.tolist())
+               for options, rows in placements]
+    return [
+        TheoremVerdict(
+            weights=weights, counts=counts,
+            timings=tuple(opts[row[i]] for opts, row in choices),
+            timesteps=timesteps, a=a, phi=float(phi[i]), v_final=float(v_final[i]),
+            clause=clause, passed=bool(passed[i]))
+        for i in range(len(phi))
+    ]
+
+
 def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
                     presyn_theta: float = 1.0) -> list:
     """Enumerate all spike-timing placements and check both clauses.
@@ -323,51 +352,22 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
 
     Refuses instances beyond the exhaustive-enumeration cap.
     """
-    weights = tuple(float(w) for w in np.atleast_1d(weights))
-    counts = tuple(int(k) for k in np.atleast_1d(counts))
-    if len(weights) != len(counts):
-        raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
-    if not 1 <= len(weights) <= MAX_PRESYN:
+    weights, counts = _theorem_instance(weights, counts, timesteps)
+    if len(weights) > MAX_PRESYN:
         raise ParameterError(f"need 1..{MAX_PRESYN} presynaptic neurons, got {len(weights)}")
-    if timesteps < 1 or timesteps > MAX_ENUM_TIMESTEPS:
+    if timesteps > MAX_ENUM_TIMESTEPS:
         raise ParameterError(
             f"exhaustive enumeration supports 1..{MAX_ENUM_TIMESTEPS} steps, got {timesteps}")
-    if any(k < 0 or k > timesteps for k in counts):
-        raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
     n_instances = int(np.prod([math.comb(timesteps, k) for k in counts]))
     if n_instances > MAX_INSTANCES:
         raise ParameterError(
             f"{n_instances} placements exceed the enumeration cap {MAX_INSTANCES}")
 
-    placements = [list(combinations(range(timesteps), k)) for k in counts]
-    trains = []
-    for options in placements:
-        arr = np.zeros((len(options), timesteps))
-        for row, steps in enumerate(options):
-            arr[row, list(steps)] = 1.0
-        trains.append(arr)
-
-    sizes = [len(p) for p in placements]
-    index_grids = np.meshgrid(*[np.arange(s) for s in sizes], indexing="ij")
-    flat_idx = [g.ravel() for g in index_grids]
-
-    currents = np.zeros((n_instances, timesteps))
-    for j, (w, train, idx) in enumerate(zip(weights, trains, flat_idx)):
-        currents += w * presyn_theta * train[idx]
-
-    count, v_final = _simulate_placements(currents, theta)
-    phi = theta * (count / timesteps)
-    a, k_ann = _forced_ann_value(weights, counts, timesteps, theta, presyn_theta)
-    passed, clause = _judge(count, v_final, k_ann)
-
-    verdicts = []
-    for i in range(n_instances):
-        timings = tuple(placements[j][flat_idx[j][i]] for j in range(len(weights)))
-        verdicts.append(TheoremVerdict(
-            weights=weights, counts=counts, timings=timings, timesteps=timesteps,
-            a=a, phi=float(phi[i]), v_final=float(v_final[i]),
-            clause=clause, passed=bool(passed[i])))
-    return verdicts
+    options = [np.array(list(combinations(range(timesteps), k)), dtype=np.int64)
+               .reshape(math.comb(timesteps, k), k) for k in counts]
+    grids = np.meshgrid(*[np.arange(len(o)) for o in options], indexing="ij")
+    placements = [(o, g.ravel()) for o, g in zip(options, grids)]
+    return _check_placements(weights, counts, timesteps, theta, presyn_theta, placements)
 
 
 def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
@@ -379,43 +379,17 @@ def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
     draws placements instead of enumerating them, so this is a deterministic
     spot check rather than a proof.  No limit on ``timesteps`` or fan-in.
     """
-    weights = tuple(float(w) for w in np.atleast_1d(weights))
-    counts = tuple(int(k) for k in np.atleast_1d(counts))
-    if len(weights) != len(counts):
-        raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
-    if not weights:
-        raise ParameterError("need at least one presynaptic neuron")
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
-    if any(k < 0 or k > timesteps for k in counts):
-        raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
+    weights, counts = _theorem_instance(weights, counts, timesteps)
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
 
     rng = np.random.default_rng(seed)
-    currents = np.zeros((draws, timesteps))
-    chosen = []
-    for w, k in zip(weights, counts):
+    placements = []
+    for k in counts:
         # the k smallest of iid uniforms form a uniform random k-subset
         order = np.argsort(rng.random((draws, timesteps)), axis=1)[:, :k]
-        train = np.zeros((draws, timesteps))
-        np.put_along_axis(train, order, 1.0, axis=1)
-        currents += w * presyn_theta * train
-        chosen.append(np.sort(order, axis=1))
-
-    count, v_final = _simulate_placements(currents, theta)
-    phi = theta * (count / timesteps)
-    a, k_ann = _forced_ann_value(weights, counts, timesteps, theta, presyn_theta)
-    passed, clause = _judge(count, v_final, k_ann)
-
-    verdicts = []
-    for i in range(draws):
-        timings = tuple(tuple(int(t) for t in c[i]) for c in chosen)
-        verdicts.append(TheoremVerdict(
-            weights=weights, counts=counts, timings=timings, timesteps=timesteps,
-            a=a, phi=float(phi[i]), v_final=float(v_final[i]),
-            clause=clause, passed=bool(passed[i])))
-    return verdicts
+        placements.append((np.sort(order, axis=1), np.arange(draws)))
+    return _check_placements(weights, counts, timesteps, theta, presyn_theta, placements)
 
 
 def theorem_failures(verdicts: list) -> list:

@@ -17,12 +17,13 @@ identical either way since conversion reuses them).
 from __future__ import annotations
 
 import json
+import math
 import struct
 
 import numpy as np
 
-from .errors import DataFormatError
-from .network import LayerParams, NetworkSpec
+from .errors import DataFormatError, ParameterError
+from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec
 
 MAGIC = b"SNNCONV1"
 FORMAT_VERSION = 1
@@ -30,14 +31,11 @@ FORMAT_VERSION = 1
 
 def _layer_header(layer: LayerParams) -> dict:
     entry: dict = {"kind": layer.kind}
-    if layer.kind == "dense":
+    if layer.kind in WEIGHTED_KINDS:
         entry["shape"] = list(layer.weights.shape)
         entry["has_bias"] = layer.bias is not None
         entry["lam"] = layer.lam
-    elif layer.kind == "conv2d":
-        entry["shape"] = list(layer.weights.shape)
-        entry["has_bias"] = layer.bias is not None
-        entry["lam"] = layer.lam
+    if layer.kind == "conv2d":
         entry["stride"] = layer.stride
         entry["padding"] = layer.padding
     elif layer.kind == "avgpool2d":
@@ -71,11 +69,38 @@ def save_checkpoint(net: NetworkSpec, path, model_type: str = "ann") -> None:
         fh.write(payload.tobytes())
 
 
+_MISSING = object()
+
+
+def _field(entry: dict, key: str, valid, default=_MISSING):
+    """``entry[key]`` (or ``default`` when absent), refused unless ``valid``."""
+    value = entry.get(key, default)
+    if value is _MISSING:
+        raise DataFormatError(f"checkpoint header: missing {key!r}")
+    if not valid(value):
+        raise DataFormatError(f"checkpoint header: malformed {key!r}: {value!r}")
+    return value
+
+
+def _count(value, least: int = 1) -> bool:
+    return type(value) is int and value >= least
+
+
+def _counts(value, length: int | None = None) -> bool:
+    return (isinstance(value, list) and all(_count(v) for v in value)
+            and length in (None, len(value)))
+
+
+def _number(value) -> bool:
+    return type(value) in (int, float) and math.isfinite(value)
+
+
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(NetworkSpec, header_dict)``.
 
     Raises :class:`DataFormatError` with the byte offset on any structural
-    problem (bad magic, truncated header or payload).
+    problem (bad magic, truncated header or payload, non-finite values), and
+    on header fields that are missing, mistyped or describe no valid network.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -92,33 +117,44 @@ def load_checkpoint(path):
         header = json.loads(blob[header_start:header_end].decode("utf-8"))
     except (ValueError, UnicodeDecodeError) as exc:
         raise DataFormatError(f"unparseable checkpoint header at byte {header_start}: {exc}") from exc
+    if not isinstance(header, dict):
+        raise DataFormatError(f"checkpoint header at byte {header_start} is not a JSON object")
 
     payload = np.frombuffer(blob[header_end:], dtype="<f4")
-    expected = header.get("payload_count")
+    expected = _field(header, "payload_count", lambda v: v is None or _count(v, 0), None)
     if expected is not None and payload.size != expected:
         raise DataFormatError(
             f"payload truncated at byte {header_end + payload.size * 4}: "
             f"have {payload.size} floats, header declares {expected}")
+    finite = np.isfinite(payload)
+    if not finite.all():
+        bad = int(np.argmin(finite))
+        raise DataFormatError(f"non-finite payload value at byte {header_end + 4 * bad}")
 
+    entries = _field(header, "layers",
+                     lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
     layers = []
     offset = 0
-    for entry in header["layers"]:
-        kind = entry["kind"]
-        if kind in ("dense", "conv2d"):
-            shape = tuple(entry["shape"])
-            count = int(np.prod(shape))
-            w = payload[offset:offset + count].astype(np.float64).reshape(shape)
-            offset += count
-            b = None
-            if entry.get("has_bias"):
-                out = shape[0]
-                b = payload[offset:offset + out].astype(np.float64)
-                offset += out
+    for entry in entries:
+        kind = entry.get("kind")
+        if kind in WEIGHTED_KINDS:
+            rank = 2 if kind == "dense" else 4
+            shape = tuple(_field(entry, "shape", lambda v: _counts(v, rank)))
+            has_bias = _field(entry, "has_bias", lambda v: type(v) is bool, False)
+            split = offset + math.prod(shape)
+            end = split + (shape[0] if has_bias else 0)
+            if end > payload.size:
+                raise DataFormatError(f"payload has {payload.size} floats but layers need {end}")
+            w = payload[offset:split].astype(np.float64).reshape(shape)
+            b = payload[split:end].astype(np.float64) if has_bias else None
+            offset = end
             layers.append(LayerParams(
-                kind=kind, weights=w, bias=b, lam=entry.get("lam"),
-                stride=entry.get("stride", 1), padding=entry.get("padding", 0)))
+                kind=kind, weights=w, bias=b,
+                lam=_field(entry, "lam", lambda v: v is None or (_number(v) and v > 0), None),
+                stride=_field(entry, "stride", _count, 1),
+                padding=_field(entry, "padding", lambda v: _count(v, 0), 0)))
         elif kind == "avgpool2d":
-            layers.append(LayerParams(kind=kind, pool=entry["pool"]))
+            layers.append(LayerParams(kind=kind, pool=_field(entry, "pool", _count)))
         elif kind == "flatten":
             layers.append(LayerParams(kind=kind))
         else:
@@ -127,11 +163,15 @@ def load_checkpoint(path):
         raise DataFormatError(
             f"payload has {payload.size} floats but layers consume {offset}")
 
-    normalization = header.get("normalization")
-    net = NetworkSpec(
-        layers=layers,
-        quant_steps=header["quant_steps"],
-        input_shape=tuple(header["input_shape"]),
-        normalization=tuple(normalization) if normalization else None,
-    )
+    normalization = _field(
+        header, "normalization",
+        lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_number, v))),
+        None)
+    quant_steps = _field(header, "quant_steps", _count)
+    input_shape = tuple(_field(header, "input_shape", _counts))
+    try:
+        net = NetworkSpec(layers, quant_steps, input_shape,
+                          tuple(normalization) if normalization else None)
+    except ParameterError as exc:
+        raise DataFormatError(f"checkpoint header describes no valid network: {exc}") from exc
     return net, header

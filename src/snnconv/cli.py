@@ -2,7 +2,9 @@
 plus a generator for the built-in synthetic digit set.
 
 Configuration comes from an optional flat ``key=value`` file (``--config``)
-with explicit command-line flags taking precedence.  Exit codes:
+with explicit command-line flags taking precedence.  Every key must name an
+option of the command; its value is typed by that option, and defaults live
+only in the option definitions.  Exit codes:
 
     0   success
     2   configuration problem (bad flags, bad config file, bad parameters)
@@ -18,7 +20,6 @@ import csv
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -70,29 +71,8 @@ EXIT_DATA = 3
 EXIT_INVARIANT = 4
 
 
-@dataclass
-class RunConfig:
-    """Merged settings shared by every command."""
-    command: str
-    model: str | None = None
-    data: str | None = None
-    timesteps: tuple = (1, 2, 4, 8)
-    tau: int = 4
-    quant_steps: int = 4
-    seed: int = 0
-    out: str | None = None
-
-    def require(self, *fields) -> None:
-        for name in fields:
-            value = getattr(self, name)
-            if value is None:
-                raise ParameterError(f"{self.command}: --{name} is required")
-            if name in ("model", "data") and not Path(value).exists():
-                raise FileNotFoundError(f"{self.command}: {name} path not found: {value}")
-
-
 # ---------------------------------------------------------------------------
-# config file + flag merging
+# config file
 
 
 def _parse_bool(text: str) -> bool:
@@ -118,37 +98,6 @@ def _parse_float_list(text: str) -> tuple:
         raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
 
 
-_CASTS = {
-    "timesteps": _parse_int_list,
-    "tau": int,
-    "quant_steps": int,
-    "seed": int,
-    "epochs": int,
-    "batch_size": int,
-    "limit": int,
-    "learning_rate": float,
-    "momentum": float,
-    "weight_decay": float,
-    "srp": _parse_bool,
-    "even_timing": _parse_bool,
-    "arch": str,
-    "out": str,
-    "data": str,
-    "model": str,
-    "split": str,
-    "report": str,
-    "trace": str,
-    "trace_sample": int,
-    "draws": int,
-    "weights": _parse_float_list,
-    "counts": _parse_int_list,
-    "theta": float,
-    "train_count": int,
-    "test_count": int,
-    "noise": float,
-}
-
-
 def parse_config_file(path) -> dict:
     """Flat ``key=value`` lines; ``#`` starts a comment; blank lines skipped."""
     p = Path(path)
@@ -162,38 +111,30 @@ def parse_config_file(path) -> dict:
         if "=" not in stripped:
             raise ParameterError(f"{path}:{line_no}: expected key=value, got {stripped!r}")
         key, _, value = stripped.partition("=")
-        key = key.strip().replace("-", "_")
-        if key not in _CASTS:
-            raise ParameterError(f"{path}:{line_no}: unknown key {key!r}")
-        values[key] = value.strip()
+        values[key.strip().replace("-", "_")] = value.strip()
     return values
 
 
-def _merge(args: argparse.Namespace) -> argparse.Namespace:
-    """Fill flag values the user did not pass from the config file."""
-    config = parse_config_file(args.config) if getattr(args, "config", None) else {}
-    for key, raw in config.items():
-        if hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, _CASTS[key](raw))
-    return args
+class _ConfigFile(argparse.Action):
+    """``--config PATH``: the file's values become the command's defaults,
+    typed by the command's own options, so explicit flags still win once
+    the arguments are parsed again (see :func:`main`)."""
 
-
-def _get(args, key, default):
-    value = getattr(args, key, None)
-    return default if value is None else value
-
-
-def _run_config(args: argparse.Namespace) -> RunConfig:
-    return RunConfig(
-        command=args.command,
-        model=getattr(args, "model", None),
-        data=getattr(args, "data", None),
-        timesteps=_get(args, "timesteps", (1, 2, 4, 8)),
-        tau=_get(args, "tau", 4),
-        quant_steps=_get(args, "quant_steps", 4),
-        seed=_get(args, "seed", 0),
-        out=getattr(args, "out", None),
-    )
+    def __call__(self, parser, namespace, path, option_string=None):
+        options = {a.dest: a for a in parser._actions
+                   if a.option_strings and a.dest not in ("help", "config")}
+        defaults = {}
+        for key, raw in parse_config_file(path).items():
+            option = options.get(key)
+            if option is None:
+                raise ParameterError(f"{path}: unknown key {key!r} for {parser.prog}")
+            try:
+                parse = _parse_bool if option.nargs == 0 else option.type or str
+                defaults[key] = parse(raw)
+            except (ValueError, ParameterError) as exc:
+                raise ParameterError(f"{path}: bad value for {key!r}: {exc}") from None
+        parser.set_defaults(**defaults)
+        setattr(namespace, self.dest, path)
 
 
 # ---------------------------------------------------------------------------
@@ -236,77 +177,73 @@ def _ensure_parent(path) -> None:
     Path(path).parent.mkdir(parents=True, exist_ok=True)
 
 
+def _require(args, *names) -> None:
+    for name in names:
+        if getattr(args, name) is None:
+            raise ParameterError(f"{args.command}: --{name} is required")
+
+
+def _limited(handle: DatasetHandle, limit) -> DatasetHandle:
+    return handle.subset(slice(0, limit)) if limit else handle
+
+
 def cmd_make_data(args) -> int:
-    cfg = _run_config(args)
-    cfg.require("out")
-    n_train = _get(args, "train_count", 2000)
-    n_test = _get(args, "test_count", 500)
-    noise = _get(args, "noise", 0.15)
-    train_set = synthetic_digits(n_train, seed=cfg.seed, noise=noise)
-    test_set = synthetic_digits(n_test, seed=cfg.seed + 1, noise=noise)
+    _require(args, "out")
+    train_set = synthetic_digits(args.train_count, seed=args.seed, noise=args.noise)
+    test_set = synthetic_digits(args.test_count, seed=args.seed + 1, noise=args.noise)
     for prefix, handle in (("train", train_set), ("test", test_set)):
-        image_path, label_path = materialize_idx(handle, cfg.out, prefix)
+        image_path, label_path = materialize_idx(handle, args.out, prefix)
         print(f"wrote {image_path}")
         print(f"wrote {label_path}")
     return EXIT_OK
 
 
 def cmd_train(args) -> int:
-    cfg = _run_config(args)
-    cfg.require("data")
-    out = cfg.out or "model.ckpt"
-    arch = _get(args, "arch", "mlp")
-    if arch not in ("mlp", "cnn"):
-        raise ParameterError(f"unknown architecture {arch!r}")
+    _require(args, "data")
+    if args.arch not in ("mlp", "cnn"):
+        raise ParameterError(f"unknown architecture {args.arch!r}")
 
-    handle = _load_dataset(cfg.data, _get(args, "split", "train"))
-    limit = getattr(args, "limit", None)
-    if limit:
-        handle = handle.subset(slice(0, limit))
-
-    net = mlp_preset(cfg.quant_steps) if arch == "mlp" else cnn_preset(cfg.quant_steps)
+    handle = _limited(_load_dataset(args.data, args.split), args.limit)
+    preset = mlp_preset if args.arch == "mlp" else cnn_preset
+    net = preset(args.quant_steps)
     net.normalization = standardization_stats(handle.images)
-    init_network(net, cfg.seed)
+    init_network(net, args.seed)
 
     x = _model_inputs(net, handle)
     train_cfg = TrainConfig(
-        learning_rate=_get(args, "learning_rate", 0.1),
-        momentum=_get(args, "momentum", 0.9),
-        weight_decay=_get(args, "weight_decay", 5e-4),
-        epochs=_get(args, "epochs", 20),
-        batch_size=_get(args, "batch_size", 64),
+        learning_rate=args.learning_rate,
+        momentum=args.momentum,
+        weight_decay=args.weight_decay,
+        epochs=args.epochs,
+        batch_size=args.batch_size,
     )
-    history = train(net, x, handle.labels, train_cfg, seed=cfg.seed)
+    history = train(net, x, handle.labels, train_cfg, seed=args.seed)
     for epoch, (loss, acc) in enumerate(zip(history.loss, history.train_accuracy)):
         print(f"epoch {epoch + 1}/{train_cfg.epochs} loss {loss:.4f} acc {acc:.4f}")
 
-    _ensure_parent(out)
-    save_checkpoint(net, out, model_type="ann")
+    _ensure_parent(args.out)
+    save_checkpoint(net, args.out, model_type="ann")
     final = accuracy(net, x, handle.labels)
     print(f"train accuracy {final:.4f}")
-    print(f"wrote {out}")
+    print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def cmd_convert(args) -> int:
-    cfg = _run_config(args)
-    cfg.require("model")
-    out = cfg.out or "model-snn.ckpt"
-    net, header = load_checkpoint(cfg.model)
+    _require(args, "model")
+    net, header = load_checkpoint(args.model)
     if header.get("model_type") != "ann":
-        raise ParameterError(f"{cfg.model}: expected an ANN checkpoint, "
+        raise ParameterError(f"{args.model}: expected an ANN checkpoint, "
                              f"got model_type={header.get('model_type')!r}")
     snn = convert(net)
-    _ensure_parent(out)
-    save_checkpoint(net, out, model_type="snn")
-    print(f"wrote {out}")
-    report_path = getattr(args, "report", None)
-    if report_path:
-        report = conversion_report(snn, timesteps=cfg.timesteps[0], tau=cfg.tau)
-        _ensure_parent(report_path)
-        with open(report_path, "w") as fh:
-            json.dump(dataclasses.asdict(report), fh, indent=2, sort_keys=True)
-        print(f"wrote {report_path}")
+    _ensure_parent(args.out)
+    save_checkpoint(net, args.out, model_type="snn")
+    print(f"wrote {args.out}")
+    if args.report:
+        _ensure_parent(args.report)
+        with open(args.report, "w") as fh:
+            json.dump(dataclasses.asdict(conversion_report(snn)), fh, indent=2, sort_keys=True)
+        print(f"wrote {args.report}")
     return EXIT_OK
 
 
@@ -337,18 +274,10 @@ def load_metrics_csv(path) -> list:
 
 
 def cmd_eval(args) -> int:
-    cfg = _run_config(args)
-    cfg.require("model", "data")
-    out = cfg.out or "metrics.csv"
-    use_srp = bool(_get(args, "srp", False))
-    even_timing = bool(_get(args, "even_timing", False))
-
-    net, _ = load_checkpoint(cfg.model)
+    _require(args, "model", "data")
+    net, _ = load_checkpoint(args.model)
     snn = convert(net)
-    handle = _load_dataset(cfg.data, _get(args, "split", "test"))
-    limit = getattr(args, "limit", None)
-    if limit:
-        handle = handle.subset(slice(0, limit))
+    handle = _limited(_load_dataset(args.data, args.split), args.limit)
     x = _model_inputs(net, handle)
     labels = handle.labels
 
@@ -356,53 +285,46 @@ def cmd_eval(args) -> int:
     acc_ann = _scores_accuracy(logits, labels)
 
     rows = []
-    for timesteps in cfg.timesteps:
-        if even_timing:
+    for timesteps in args.timesteps:
+        if args.even_timing:
             scores, _ = snn_forced_phi(snn, x, timesteps)
         else:
             scores = snn_simulate(snn, x, timesteps, record_spikes=False).scores
         acc_snn = _scores_accuracy(scores, labels)
         acc_srp = None
-        if use_srp:
-            srp = srp_inference(snn, x, cfg.tau, timesteps)
+        if args.srp:
+            srp = srp_inference(snn, x, args.tau, timesteps)
             acc_srp = _scores_accuracy(srp.scores, labels)
         rows.append((timesteps, acc_ann, acc_snn, acc_srp))
         srp_text = "" if acc_srp is None else f" srp {acc_srp:.4f}"
         print(f"T={timesteps} ann {acc_ann:.4f} snn {acc_snn:.4f}{srp_text}")
 
-    _write_metrics(out, rows)
-    print(f"wrote {out}")
+    _write_metrics(args.out, rows)
+    print(f"wrote {args.out}")
 
-    trace_path = getattr(args, "trace", None)
-    if trace_path:
-        sample = _get(args, "trace_sample", 0)
+    if args.trace:
+        sample = args.trace_sample
         if not 0 <= sample < len(handle):
             raise ParameterError(f"trace sample {sample} outside dataset of {len(handle)}")
         recorder = TraceRecorder()
-        snn_simulate(snn, x[sample:sample + 1], cfg.timesteps[0],
+        snn_simulate(snn, x[sample:sample + 1], args.timesteps[0],
                      record_spikes=False, trace=recorder)
-        _ensure_parent(trace_path)
-        recorder.write_csv(trace_path)
-        print(f"wrote {trace_path}")
+        _ensure_parent(args.trace)
+        recorder.write_csv(args.trace)
+        print(f"wrote {args.trace}")
     return EXIT_OK
 
 
 def cmd_analyze(args) -> int:
-    cfg = _run_config(args)
-    cfg.require("model", "data")
-    out_dir = Path(cfg.out or "analysis")
-    out_dir.mkdir(parents=True, exist_ok=True)
-    timesteps = cfg.timesteps[0]
-    use_srp = bool(_get(args, "srp", False))
-
-    net, _ = load_checkpoint(cfg.model)
+    _require(args, "model", "data")
+    timesteps = args.timesteps[0]
+    net, _ = load_checkpoint(args.model)
     snn = convert(net)
-    handle = _load_dataset(cfg.data, _get(args, "split", "test"))
-    limit = _get(args, "limit", 256)
-    if limit:
-        handle = handle.subset(slice(0, limit))
+    handle = _limited(_load_dataset(args.data, args.split), args.limit)
     x = _model_inputs(net, handle)
 
+    out_dir = Path(args.out)
+    out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
         "type_I": error_type_I_distribution(net, snn, x, timesteps),
         "type_II": error_type_II_distribution(net, snn, x, timesteps),
@@ -415,12 +337,12 @@ def cmd_analyze(args) -> int:
         print(f"wrote {csv_path}")
         print(f"wrote {json_path}")
 
-    if use_srp:
-        effect = srp_effect_report(net, snn, x, cfg.tau, timesteps)
+    if args.srp:
+        effect = srp_effect_report(net, snn, x, args.tau, timesteps)
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {
-            "tau": cfg.tau,
+            "tau": args.tau,
             "timesteps": timesteps,
             "before": report_summary(effect.before),
             "after": report_summary(effect.after),
@@ -432,42 +354,36 @@ def cmd_analyze(args) -> int:
 
 
 def cmd_verify_theorem(args) -> int:
-    cfg = _run_config(args)
-    timesteps_list = getattr(args, "timesteps", None) or (2, 4, 6)
-    weights = getattr(args, "weights", None)
     summary: dict
-    if weights is not None:
-        counts = getattr(args, "counts", None)
-        if counts is None:
+    if args.weights is not None:
+        if args.counts is None:
             raise ParameterError("--counts is required when --weights is given")
-        timesteps = timesteps_list[0]
-        theta = _get(args, "theta", 1.0)
-        verdicts = verify_theorem1(weights, timesteps, counts, theta=theta)
+        timesteps = args.timesteps[0]
+        verdicts = verify_theorem1(args.weights, timesteps, args.counts, theta=args.theta)
         failures = theorem_failures(verdicts)
         total = len(verdicts)
-        print(f"instance: weights={list(weights)} counts={list(counts)} "
-              f"T={timesteps} theta={theta}")
+        print(f"instance: weights={list(args.weights)} counts={list(args.counts)} "
+              f"T={timesteps} theta={args.theta}")
         print(f"checked {total} spike-timing placements, {len(failures)} violations")
         summary = {"mode": "instance", "placements": total,
                    "violations": len(failures),
                    "a": verdicts[0].a if verdicts else None}
     else:
-        draws = _get(args, "draws", 100)
-        total, failures = random_theorem_sweep(draws, timesteps_list, seed=cfg.seed)
-        print(f"checked {total} placements over {draws} draws x T in "
-              f"{list(timesteps_list)}, {len(failures)} violations")
-        summary = {"mode": "sweep", "draws": draws, "placements": total,
+        total, failures = random_theorem_sweep(args.draws, args.timesteps, seed=args.seed)
+        print(f"checked {total} placements over {args.draws} draws x T in "
+              f"{list(args.timesteps)}, {len(failures)} violations")
+        summary = {"mode": "sweep", "draws": args.draws, "placements": total,
                    "violations": len(failures)}
 
     for bad in failures[:5]:
         print(f"violation: timings={bad.timings} phi={bad.phi} "
               f"v_final={bad.v_final} a={bad.a} clause={bad.clause}",
               file=sys.stderr)
-    if cfg.out:
-        _ensure_parent(cfg.out)
-        with open(cfg.out, "w") as fh:
+    if args.out:
+        _ensure_parent(args.out)
+        with open(args.out, "w") as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
-        print(f"wrote {cfg.out}")
+        print(f"wrote {args.out}")
     return EXIT_INVARIANT if failures else EXIT_OK
 
 
@@ -482,77 +398,69 @@ def build_parser() -> argparse.ArgumentParser:
                     "spiking networks, and analyze spike-timing errors.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
-        p.add_argument("--config", help="flat key=value config file")
-        p.add_argument("--seed", type=int, default=None)
-        p.add_argument("--out", default=None)
+    def command(name, func, help, out=None):
+        p = sub.add_parser(name, help=help)
+        p.add_argument("--config", action=_ConfigFile,
+                       help="flat key=value config file; flags win over it")
+        p.add_argument("--seed", type=int, default=0)
+        p.add_argument("--out", default=out)
+        p.set_defaults(func=func)
+        return p
 
-    p = sub.add_parser("make-data", help="generate the synthetic digit set")
-    common(p)
-    p.add_argument("--train-count", type=int, default=None, dest="train_count")
-    p.add_argument("--test-count", type=int, default=None, dest="test_count")
-    p.add_argument("--noise", type=float, default=None)
-    p.set_defaults(func=cmd_make_data)
+    def data_options(p, split):
+        p.add_argument("--data", default=None)
+        p.add_argument("--split", default=split)
 
-    p = sub.add_parser("train", help="train a quantized-activation network")
-    common(p)
-    p.add_argument("--data", default=None)
-    p.add_argument("--split", default=None)
-    p.add_argument("--arch", default=None)
-    p.add_argument("--quant-steps", type=int, default=None, dest="quant_steps")
-    p.add_argument("--epochs", type=int, default=None)
-    p.add_argument("--batch-size", type=int, default=None, dest="batch_size")
-    p.add_argument("--learning-rate", type=float, default=None, dest="learning_rate")
-    p.add_argument("--momentum", type=float, default=None)
-    p.add_argument("--weight-decay", type=float, default=None, dest="weight_decay")
+    p = command("make-data", cmd_make_data, "generate the synthetic digit set")
+    p.add_argument("--train-count", type=int, default=2000, dest="train_count")
+    p.add_argument("--test-count", type=int, default=500, dest="test_count")
+    p.add_argument("--noise", type=float, default=0.15)
+
+    p = command("train", cmd_train, "train a quantized-activation network", out="model.ckpt")
+    data_options(p, "train")
+    p.add_argument("--arch", default="mlp")
+    p.add_argument("--quant-steps", type=int, default=4, dest="quant_steps")
+    p.add_argument("--epochs", type=int, default=20)
+    p.add_argument("--batch-size", type=int, default=64, dest="batch_size")
+    p.add_argument("--learning-rate", type=float, default=0.1, dest="learning_rate")
+    p.add_argument("--momentum", type=float, default=0.9)
+    p.add_argument("--weight-decay", type=float, default=5e-4, dest="weight_decay")
     p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=cmd_train)
 
-    p = sub.add_parser("convert", help="convert a trained network to spiking form")
-    common(p)
+    p = command("convert", cmd_convert, "convert a trained network to spiking form",
+                out="model-snn.ckpt")
     p.add_argument("--model", default=None)
-    p.add_argument("--timesteps", type=_parse_int_list, default=None)
     p.add_argument("--report", default=None, help="also write a conversion report JSON")
-    p.set_defaults(func=cmd_convert)
 
-    p = sub.add_parser("eval", help="evaluate accuracy over timestep counts")
-    common(p)
+    p = command("eval", cmd_eval, "evaluate accuracy over timestep counts", out="metrics.csv")
     p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--split", default=None)
-    p.add_argument("--timesteps", type=_parse_int_list, default=None)
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--srp", action="store_true", default=None)
-    p.add_argument("--even-timing", action="store_true", default=None,
-                   dest="even_timing", help="replace simulation by forced even timing")
+    data_options(p, "test")
+    p.add_argument("--timesteps", type=_parse_int_list, default=(1, 2, 4, 8))
+    p.add_argument("--tau", type=int, default=4)
+    p.add_argument("--srp", action="store_true")
+    p.add_argument("--even-timing", action="store_true", dest="even_timing",
+                   help="replace simulation by forced even timing")
     p.add_argument("--limit", type=int, default=None)
     p.add_argument("--trace", default=None, help="write a per-step trace CSV")
-    p.add_argument("--trace-sample", type=int, default=None, dest="trace_sample")
-    p.set_defaults(func=cmd_eval)
+    p.add_argument("--trace-sample", type=int, default=0, dest="trace_sample")
 
-    p = sub.add_parser("analyze", help="emit spike-timing error reports")
-    common(p)
+    p = command("analyze", cmd_analyze, "emit spike-timing error reports", out="analysis")
     p.add_argument("--model", default=None)
-    p.add_argument("--data", default=None)
-    p.add_argument("--split", default=None)
-    p.add_argument("--timesteps", type=_parse_int_list, default=None,
+    data_options(p, "test")
+    p.add_argument("--timesteps", type=_parse_int_list, default=(1, 2, 4, 8),
                    help="first value is used")
-    p.add_argument("--tau", type=int, default=None)
-    p.add_argument("--srp", action="store_true", default=None,
-                   help="add before/after masking reports")
-    p.add_argument("--limit", type=int, default=None)
-    p.set_defaults(func=cmd_analyze)
+    p.add_argument("--tau", type=int, default=4)
+    p.add_argument("--srp", action="store_true", help="add before/after masking reports")
+    p.add_argument("--limit", type=int, default=256)
 
-    p = sub.add_parser("verify-theorem",
-                       help="exhaustively check the residual-potential theorem")
-    common(p)
-    p.add_argument("--timesteps", type=_parse_int_list, default=None)
-    p.add_argument("--draws", type=int, default=None)
+    p = command("verify-theorem", cmd_verify_theorem,
+                "exhaustively check the residual-potential theorem")
+    p.add_argument("--timesteps", type=_parse_int_list, default=(2, 4, 6))
+    p.add_argument("--draws", type=int, default=100)
     p.add_argument("--weights", type=_parse_float_list, default=None,
                    help="check one explicit instance instead of a random sweep")
     p.add_argument("--counts", type=_parse_int_list, default=None)
-    p.add_argument("--theta", type=float, default=None)
-    p.set_defaults(func=cmd_verify_theorem)
+    p.add_argument("--theta", type=float, default=1.0)
 
     return parser
 
@@ -560,8 +468,10 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv=None) -> int:
     parser = build_parser()
     try:
+        # The first pass loads any --config file into the command's
+        # defaults; the second applies them under the explicit flags.
+        parser.parse_args(argv)
         args = parser.parse_args(argv)
-        _merge(args)
         return args.func(args)
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)

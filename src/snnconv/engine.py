@@ -21,13 +21,12 @@ precisely the signal the two-stage masking inference uses.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConversionError, ParameterError, ShapeError
-from .network import NetworkSpec, layer_forward
-from .activation import qcfs
+from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward
 
 
 @dataclass
@@ -61,10 +60,6 @@ class SnnNetwork:
     def thetas(self) -> list:
         return [s.theta for s in self.if_stages]
 
-    def stage_linear(self, index: int, x: np.ndarray) -> np.ndarray:
-        """Apply stage ``index``'s linear chain (bias included) once."""
-        return self.stages[index].apply(x)
-
 
 @dataclass
 class ConversionReport:
@@ -72,9 +67,6 @@ class ConversionReport:
 
     thetas: list
     v_init: list
-    source_lams: list
-    timesteps: int | None = None
-    tau: int | None = None
 
 
 def convert(net: NetworkSpec) -> SnnNetwork:
@@ -89,76 +81,53 @@ def convert(net: NetworkSpec) -> SnnNetwork:
     pending = []
     for layer in net.layers:
         pending.append(layer)
-        if layer.kind in ("dense", "conv2d"):
-            if layer.has_activation:
-                stages.append(Stage(pending, theta=layer.lam))
-                pending = []
-    if pending:
-        stages.append(Stage(pending, theta=None))
-    else:
+        if layer.kind in WEIGHTED_KINDS and layer.has_activation:
+            stages.append(Stage(pending, theta=layer.lam))
+            pending = []
+    if not pending:
         raise ConversionError("network has no classifier stage after the last activation")
-    for stage in stages[:-1]:
-        if stage.theta is None:
-            raise ConversionError("activation layer without a threshold cannot be converted")
+    stages.append(Stage(pending, theta=None))
     return SnnNetwork(stages, net.quant_steps, net.input_shape, net.normalization)
 
 
-def conversion_report(snn: SnnNetwork, timesteps: int | None = None,
-                      tau: int | None = None) -> ConversionReport:
+def conversion_report(snn: SnnNetwork) -> ConversionReport:
     thetas = snn.thetas
-    return ConversionReport(
-        thetas=list(thetas),
-        v_init=[0.5 * t for t in thetas],
-        source_lams=list(thetas),
-        timesteps=timesteps,
-        tau=tau,
-    )
+    return ConversionReport(thetas=list(thetas), v_init=[0.5 * t for t in thetas])
 
 
 # ---------------------------------------------------------------------------
-# state and single-step dynamics
+# IF dynamics
 
 
-@dataclass
-class IfState:
-    """State of one IF stage across a batch."""
+def if_step(v, current, theta: float):
+    """Advance IF neurons one step; returns ``(v_next, fired)``.
 
-    theta: float
-    v: np.ndarray
-    spike_count: np.ndarray
-    mask: np.ndarray | None = None
-    t: int = 0
-
-    @classmethod
-    def initial(cls, theta: float, shape: tuple) -> "IfState":
-        if theta <= 0:
-            raise ParameterError(f"firing threshold must be positive, got {theta}")
-        return cls(theta=theta, v=np.full(shape, 0.5 * theta),
-                   spike_count=np.zeros(shape, dtype=np.int64))
-
-    def reset(self) -> None:
-        """Back to the initial potential theta/2 with counters cleared."""
-        self.v = np.full_like(self.v, 0.5 * self.theta)
-        self.spike_count = np.zeros_like(self.spike_count)
-        self.t = 0
-
-
-def snn_step(state: IfState, current: np.ndarray) -> np.ndarray:
-    """Advance one stage by a single time-step.
-
-    Returns the emitted binary spikes (float 0/1).  If a mask is set, the
-    emitted output is gated by it; the membrane itself still integrates and
-    resets on its own firings, only the transmitted spike is suppressed.
+    The only implementation of the update: the network time loop calls it
+    directly, and :func:`if_scan` (constant-current runs, the theorem
+    checker) calls it once per step.
     """
-    u = state.v + current
-    fired = u >= state.theta
-    state.v = u - state.theta * fired
-    emitted = fired.astype(np.float64)
-    if state.mask is not None:
-        emitted = emitted * state.mask
-    state.spike_count += emitted.astype(np.int64)
-    state.t += 1
-    return emitted
+    u = v + current
+    fired = u >= theta
+    return u - theta * fired, fired
+
+
+def _check_theta(theta: float) -> None:
+    if not theta > 0:
+        raise ParameterError(f"firing threshold must be positive, got {theta}")
+
+
+def if_scan(currents: np.ndarray, theta: float):
+    """Run one IF bank from ``theta/2`` over ``currents[T, ...]``.
+
+    Returns ``(spike_count, v_final)`` with the shape of one step's current.
+    """
+    _check_theta(theta)
+    v = 0.5 * theta
+    count = np.zeros(np.shape(currents)[1:], dtype=np.int64)
+    for current in currents:
+        v, fired = if_step(v, current, theta)
+        count += fired
+    return count, v
 
 
 @dataclass
@@ -195,57 +164,64 @@ class TraceRecorder:
             writer.writerows(self.rows)
 
 
-def init_states(snn: SnnNetwork, batch: int) -> list:
-    """Allocate fresh per-stage states for a batch (shape probe with zeros)."""
-    states = []
-    probe = np.zeros((batch, *snn.input_shape))
-    for stage in snn.if_stages:
-        probe = stage.apply(probe)
-        states.append(IfState.initial(stage.theta, probe.shape))
-        probe = np.zeros_like(probe)
-    return states
+def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
+    for name, value in step_counts.items():
+        if value < 1:
+            raise ParameterError(f"{name} must be >= 1, got {value}")
+    for theta in snn.thetas:
+        _check_theta(theta)
+    x = np.asarray(x, dtype=np.float64)
+    if x.shape[1:] != snn.input_shape:
+        raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
+    return x
 
 
-def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, states: list,
-         record_spikes: bool = False, trace: TraceRecorder | None = None):
-    """Core loop shared by plain simulation and masked stage-2 inference."""
-    n = x.shape[0]
-    spikes = [np.zeros((timesteps, *st.v.shape)) for st in states] if record_spikes else None
+def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = None,
+         record_spikes: bool = False, trace: TraceRecorder | None = None) -> SimResult:
+    """Time loop shared by plain simulation and both SRP stages.
+
+    Every stage starts at ``theta/2``.  With ``masks``, each stage's
+    emitted spikes are gated by its mask; the membrane still integrates and
+    resets on its own firings, only the transmitted spike is suppressed.
+    """
+    # Potentials and counts start as scalars and become arrays on the first
+    # step by broadcasting, so no shape probe is needed.
+    v = [0.5 * stage.theta for stage in snn.if_stages]
+    counts = [0] * len(v)
+    spikes = [None] * len(v) if record_spikes else None
     score_sum = None
     for t in range(timesteps):
         cur = x
-        for i, (stage, st) in enumerate(zip(snn.if_stages, states)):
+        for i, stage in enumerate(snn.if_stages):
             current = stage.apply(cur)
             if trace is not None:
-                u = st.v + current
-            s = snn_step(st, current)
+                u = v[i] + current
+            v[i], fired = if_step(v[i], current, stage.theta)
+            s = fired.astype(np.float64)
+            if masks is not None:
+                s *= masks[i]
+            counts[i] += s
             if trace is not None:
-                trace.record(i, t + 1, u, s, st.v)
+                trace.record(i, t + 1, u, s, v[i])
             if record_spikes:
+                if t == 0:
+                    spikes[i] = np.zeros((timesteps, *s.shape))
                 spikes[i][t] = s
             cur = stage.theta * s
         readout = snn.stages[-1].apply(cur)
         score_sum = readout if score_sum is None else score_sum + readout
-    scores = score_sum / timesteps
-    phi = [st.theta * (st.spike_count / timesteps) for st in states]
+    phi = [stage.theta * (c / timesteps) for stage, c in zip(snn.if_stages, counts)]
     if record_spikes:
         spikes = [np.moveaxis(sp, 0, -1) for sp in spikes]  # (..., T) per stage
-    return scores, phi, spikes
+    return SimResult(scores=score_sum / timesteps, phi=phi, v_final=v,
+                     spikes=spikes, masks=masks)
 
 
 def snn_simulate(snn: SnnNetwork, x: np.ndarray, timesteps: int,
                  record_spikes: bool = True, trace: TraceRecorder | None = None) -> SimResult:
     """Simulate with direct coding for the given number of steps."""
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != snn.input_shape:
-        raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
-    states = init_states(snn, x.shape[0])
-    scores, phi, spikes = _run(snn, x, timesteps, states,
-                               record_spikes=record_spikes, trace=trace)
-    return SimResult(scores=scores, phi=phi,
-                     v_final=[st.v for st in states], spikes=spikes)
+    x = _checked_input(snn, x, timesteps=timesteps)
+    return _run(snn, x, timesteps, record_spikes=record_spikes, trace=trace)
 
 
 def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
@@ -258,25 +234,9 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
     output gated by its mask.  Stage-1 spikes are discarded; only the masks
     survive into stage 2.
     """
-    if tau < 1:
-        raise ParameterError(f"tau must be >= 1, got {tau}")
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != snn.input_shape:
-        raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
-
-    states = init_states(snn, x.shape[0])
-    _run(snn, x, tau, states)
-
-    masks = [(st.v >= 0.0).astype(np.float64) for st in states]
-    for st, mask in zip(states, masks):
-        st.reset()
-        st.mask = mask
-
-    scores, phi, spikes = _run(snn, x, timesteps, states, record_spikes=record_spikes)
-    return SimResult(scores=scores, phi=phi,
-                     v_final=[st.v for st in states], spikes=spikes, masks=masks)
+    x = _checked_input(snn, x, tau=tau, timesteps=timesteps)
+    masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]
+    return _run(snn, x, timesteps, masks=masks, record_spikes=record_spikes)
 
 
 # ---------------------------------------------------------------------------
@@ -286,16 +246,17 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
 def even_timing_phi(y, theta: float, timesteps: int, v0: float):
     """Closed-form stage output when the input current is constant.
 
-    clip(theta/T * floor((y*T + v0) / theta), 0, theta); with T equal to
-    the quantization step count and v0 = theta/2 this coincides with the
-    quantized activation pointwise.
+    clip(theta/T * floor(y*T/theta + v0/theta), 0, theta), rounded the same
+    way as :func:`~snnconv.activation.qcfs`; with T equal to the
+    quantization step count and v0 = theta/2 this coincides with the
+    quantized activation pointwise, ties included.
     """
-    if theta <= 0:
-        raise ParameterError(f"theta must be positive, got {theta}")
+    _check_theta(theta)
     if timesteps < 1:
         raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
     y = np.asarray(y, dtype=np.float64)
-    return np.clip((theta / timesteps) * np.floor((y * timesteps + v0) / theta), 0.0, theta)
+    k = np.floor(y * timesteps / theta + v0 / theta)
+    return np.clip((theta / timesteps) * k, 0.0, theta)
 
 
 def constant_current_phi(current: np.ndarray, theta: float, timesteps: int) -> np.ndarray:
@@ -304,10 +265,9 @@ def constant_current_phi(current: np.ndarray, theta: float, timesteps: int) -> n
     This is the simulation-side counterpart of :func:`even_timing_phi` and
     deliberately does not use the closed form.
     """
-    state = IfState.initial(theta, np.asarray(current).shape)
-    for _ in range(timesteps):
-        snn_step(state, current)
-    return theta * (state.spike_count / timesteps)
+    current = np.asarray(current, dtype=np.float64)
+    count, _ = if_scan(np.broadcast_to(current, (timesteps, *current.shape)), theta)
+    return theta * (count / timesteps)
 
 
 def snn_forced_phi(snn: SnnNetwork, x: np.ndarray, timesteps: int):
@@ -317,10 +277,7 @@ def snn_forced_phi(snn: SnnNetwork, x: np.ndarray, timesteps: int):
     stage's final average output, which removes all spike-timing effects.
     Returns ``(scores, phi_per_stage)``.
     """
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
-    x = np.asarray(x, dtype=np.float64)
-    cur = x
+    cur = _checked_input(snn, x, timesteps=timesteps)
     phis = []
     for stage in snn.if_stages:
         y = stage.apply(cur)
@@ -329,21 +286,3 @@ def snn_forced_phi(snn: SnnNetwork, x: np.ndarray, timesteps: int):
         cur = phi
     scores = snn.stages[-1].apply(cur)
     return scores, phis
-
-
-def forced_ann_outputs(snn: SnnNetwork, x: np.ndarray):
-    """Quantized-activation outputs computed stage-wise on the same chains.
-
-    Uses the identical linear code path as the spiking evaluation so that
-    exact-equality comparisons see bitwise-identical pre-activations.
-    Returns ``(logits, a_per_stage)``.
-    """
-    cur = np.asarray(x, dtype=np.float64)
-    outs = []
-    for stage in snn.if_stages:
-        y = stage.apply(cur)
-        a = qcfs(y, stage.theta, snn.quant_steps)
-        outs.append(a)
-        cur = a
-    logits = snn.stages[-1].apply(cur)
-    return logits, outs

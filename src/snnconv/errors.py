@@ -18,7 +18,7 @@ class ShapeError(SnnConvError):
 
 
 class ConversionError(SnnConvError):
-    """ANN cannot be converted (e.g. an activation layer without a threshold)."""
+    """ANN cannot be converted (e.g. no classifier stage after the last activation)."""
 
 
 class PairingError(SnnConvError):

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .activation import QcfsActivation, qcfs
+from .activation import qcfs
 from .errors import ParameterError, ShapeError
 
 WEIGHTED_KINDS = ("dense", "conv2d")
@@ -67,14 +67,13 @@ class LayerParams:
 
 @dataclass
 class ActivationRecord:
-    """Per activation layer: pre-activation input and quantized output."""
+    """What one forward pass saw: per activation layer the pre-activation
+    input and quantized output, and per layer its input (what backprop
+    needs)."""
 
     pre: list = field(default_factory=list)
     post: list = field(default_factory=list)
-
-    def append(self, y: np.ndarray, a: np.ndarray) -> None:
-        self.pre.append(y)
-        self.post.append(a)
+    inputs: list = field(default_factory=list)
 
     def __len__(self) -> int:
         return len(self.post)
@@ -104,9 +103,6 @@ class NetworkSpec:
         for l in self.layers:
             if l.kind not in WEIGHTED_KINDS and l.has_activation:
                 raise ParameterError(f"{l.kind} layers cannot carry an activation")
-
-    def activation_for(self, layer: LayerParams) -> QcfsActivation:
-        return QcfsActivation(self.quant_steps, layer.lam)
 
     @property
     def activation_layers(self) -> list:
@@ -264,8 +260,10 @@ def ann_forward(net: NetworkSpec, x: np.ndarray):
     """Run the quantized-activation network on a batch.
 
     Returns ``(logits, record)`` where ``record`` holds the pre- and
-    post-activation tensors of every activation layer in order.  The final
-    classifier layer emits raw logits.
+    post-activation tensors of every activation layer in order, and the
+    input of every layer.  The final classifier layer emits raw logits.
+    Training backpropagates from ``record``, and a converted network shares
+    these very layer objects, so both see the same forward pass.
     """
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != net.input_shape:
@@ -273,11 +271,12 @@ def ann_forward(net: NetworkSpec, x: np.ndarray):
     record = ActivationRecord()
     cur = x
     for layer in net.layers:
+        record.inputs.append(cur)
         cur = layer_forward(layer, cur)
         if layer.has_activation:
-            a = qcfs(cur, layer.lam, net.quant_steps)
-            record.append(cur, a)
-            cur = a
+            record.pre.append(cur)
+            cur = qcfs(cur, layer.lam, net.quant_steps)
+            record.post.append(cur)
     return cur, record
 
 

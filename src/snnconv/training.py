@@ -14,9 +14,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .activation import qcfs, qcfs_backward
+from .activation import qcfs_backward
 from .errors import ParameterError, ShapeError, TrainingDivergenceError
-from .network import NetworkSpec, layer_backward, layer_forward
+from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward
 
 LAM_FLOOR = 1e-3
 
@@ -134,38 +134,25 @@ def softmax_cross_entropy(logits: np.ndarray, labels: np.ndarray):
     return loss, grad / n
 
 
-def network_backward(net: NetworkSpec, grad_logits: np.ndarray, caches: list) -> dict:
-    """Backprop through all layers; quantized activations use the
-    straight-through gate.  ``caches`` is the list of per-layer inputs plus
-    pre-activations recorded by :func:`_forward_with_cache`."""
+def network_backward(net: NetworkSpec, grad_logits: np.ndarray,
+                     record: ActivationRecord) -> dict:
+    """Backprop through all layers from the ``record`` of
+    :func:`~snnconv.network.ann_forward`; quantized activations use the
+    straight-through gate."""
     grads = {}
     grad = grad_logits
+    pre = reversed(record.pre)
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
-        layer_in, pre = caches[i]
         if layer.has_activation:
-            grad, grad_lam = qcfs_backward(pre, layer.lam, net.quant_steps, grad)
+            grad, grad_lam = qcfs_backward(next(pre), layer.lam, net.quant_steps, grad)
             grads[f"{i}.lam"] = grad_lam
-        grad, grad_w, grad_b = layer_backward(layer, layer_in, grad)
+        grad, grad_w, grad_b = layer_backward(layer, record.inputs[i], grad)
         if grad_w is not None:
             grads[f"{i}.w"] = grad_w
         if grad_b is not None:
             grads[f"{i}.b"] = grad_b
     return grads
-
-
-def _forward_with_cache(net: NetworkSpec, x: np.ndarray):
-    caches = []
-    cur = x
-    for layer in net.layers:
-        layer_in = cur
-        cur = layer_forward(layer, cur)
-        pre = None
-        if layer.has_activation:
-            pre = cur
-            cur = qcfs(cur, layer.lam, net.quant_steps)
-        caches.append((layer_in, pre))
-    return cur, caches
 
 
 def prepare_inputs(images: np.ndarray, input_shape: tuple) -> np.ndarray:
@@ -180,8 +167,6 @@ def prepare_inputs(images: np.ndarray, input_shape: tuple) -> np.ndarray:
 
 def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
              batch_size: int = 256) -> float:
-    from .network import ann_forward
-
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     correct = 0
     for start in range(0, x.shape[0], batch_size):
@@ -224,12 +209,12 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
         for start in range(0, x.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], labels[idx]
-            logits, caches = _forward_with_cache(net, xb)
+            logits, record = ann_forward(net, xb)
             loss, grad_logits = softmax_cross_entropy(logits, yb)
             if not np.isfinite(loss):
                 raise TrainingDivergenceError(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}")
-            grads = network_backward(net, grad_logits, caches)
+            grads = network_backward(net, grad_logits, record)
             sgd_step(params, grads, velocities, config, epoch)
             _write_back(net, params)
             epoch_loss += loss * len(idx)

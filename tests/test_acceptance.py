@@ -31,11 +31,11 @@ from snnconv.engine import (
     constant_current_phi,
     convert,
     even_timing_phi,
-    forced_ann_outputs,
     snn_forced_phi,
     snn_simulate,
     srp_inference,
 )
+from snnconv.network import ann_forward
 from snnconv.training import accuracy
 
 from conftest import _build_frozen
@@ -86,8 +86,8 @@ def test_criterion_2_even_timing_exactness():
         snn = convert(net)
         x = net_rng.uniform(-0.5, 1.0, (10, net.input_shape[0]))
         scores, phis = snn_forced_phi(snn, x, steps)
-        logits, outs = forced_ann_outputs(snn, x)
-        for phi, a in zip(phis, outs):
+        logits, record = ann_forward(net, x)
+        for phi, a in zip(phis, record.post):
             worst = max(worst, float(np.abs(phi - a).max()))
         worst = max(worst, float(np.abs(scores - logits).max()))
     _report(2, f"even-timing deviation {worst:.2e} (tol 1e-9) on {scalars} "

@@ -145,3 +145,61 @@ class TestCorruption:
         path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
         with pytest.raises(DataFormatError, match="mystery"):
             load_checkpoint(path)
+
+
+def _good_header():
+    return {"format_version": 1, "model_type": "ann", "quant_steps": 4,
+            "input_shape": [2], "normalization": None, "payload_count": 6,
+            "layers": [{"kind": "dense", "shape": [2, 2], "has_bias": True, "lam": None}]}
+
+
+def _edited(**changes):
+    header = _good_header()
+    for key, value in changes.items():
+        if value is None:
+            del header[key]
+        else:
+            header[key] = value
+    return header
+
+
+def _layer(**changes):
+    return {**_good_header()["layers"][0], **changes}
+
+
+@pytest.mark.parametrize("header", [
+    pytest.param([1, 2], id="not-an-object"),
+    pytest.param(_edited(layers=None), id="no-layers"),
+    pytest.param(_edited(quant_steps=None), id="no-quant-steps"),
+    pytest.param(_edited(input_shape=None), id="no-input-shape"),
+    pytest.param(_edited(layers={"kind": "dense"}), id="layers-not-list"),
+    pytest.param(_edited(layers=["dense"]), id="layer-not-object"),
+    pytest.param(_edited(quant_steps="4"), id="quant-steps-str"),
+    pytest.param(_edited(quant_steps=0), id="quant-steps-zero"),
+    pytest.param(_edited(input_shape="2"), id="input-shape-str"),
+    pytest.param(_edited(normalization=[0.5]), id="normalization-short"),
+    pytest.param(_edited(layers=[{"shape": [2, 2]}]), id="no-kind"),
+    pytest.param(_edited(layers=[_layer(shape=None)]), id="no-shape"),
+    pytest.param(_edited(layers=[_layer(shape="2x2")]), id="shape-str"),
+    pytest.param(_edited(layers=[_layer(shape=[2, 2, 1])]), id="shape-rank"),
+    pytest.param(_edited(layers=[_layer(shape=[4, 2], has_bias=False)]),
+                 id="shape-beyond-payload"),
+    pytest.param(_edited(layers=[_layer(has_bias="yes")]), id="has-bias-str"),
+    pytest.param(_edited(layers=[_layer(lam="1.0")]), id="lam-str"),
+    pytest.param(_edited(layers=[_layer(lam=-1.0)]), id="lam-negative"),
+    pytest.param(_edited(layers=[_layer(kind="conv2d", shape=[2, 2, 1, 1], stride="1")]),
+                 id="stride-str"),
+    pytest.param(_edited(layers=[_layer(), {"kind": "avgpool2d"}]), id="no-pool"),
+    pytest.param(_edited(layers=[_layer(), {"kind": "avgpool2d", "pool": 0}]), id="pool-zero"),
+    pytest.param("nan payload", id="nan-payload"),
+])
+def test_malformed_header_is_data_format_error(tmp_path, header):
+    payload = np.arange(6, dtype="<f4")
+    if header == "nan payload":
+        header = _good_header()
+        payload[3] = np.nan
+    blob = json.dumps(header).encode()
+    path = tmp_path / "bad.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload.tobytes())
+    with pytest.raises(DataFormatError):
+        load_checkpoint(path)

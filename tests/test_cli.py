@@ -69,7 +69,8 @@ class TestTrainConvert:
         _, header = load_checkpoint(workspace["snn"])
         assert header["model_type"] == "snn"
         payload = json.loads(workspace["report"].read_text())
-        assert payload["source_lams"] == payload["thetas"]
+        ann, _ = load_checkpoint(workspace["model"])
+        assert payload["thetas"] == ann.thresholds
         assert payload["v_init"] == [0.5 * t for t in payload["thetas"]]
 
     def test_convert_refuses_snn_checkpoint(self, workspace, tmp_path):
@@ -254,11 +255,35 @@ class TestConfigFile:
         values = parse_config_file(cfg)
         assert values == {"epochs": "5", "timesteps": "2,4", "srp": "true"}
 
-    def test_unknown_key(self, tmp_path):
+    def test_unknown_key(self, workspace, tmp_path, capsys):
+        # tau is an option of eval and analyze, not of train
+        for key in ("optimizer", "tau"):
+            cfg = tmp_path / "run.cfg"
+            cfg.write_text(f"{key}=4\n")
+            code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                         "--epochs", "0", "--out", str(tmp_path / "m.ckpt")])
+            assert code == EXIT_CONFIG
+            assert f"unknown key {key!r}" in capsys.readouterr().err
+            assert not (tmp_path / "m.ckpt").exists()
+
+    def test_bad_value_names_key(self, workspace, tmp_path, capsys):
         cfg = tmp_path / "run.cfg"
-        cfg.write_text("optimizer=adam\n")
-        with pytest.raises(ParameterError, match="unknown key"):
-            parse_config_file(cfg)
+        cfg.write_text("epochs=abc\n")
+        code = main(["train", "--config", str(cfg), "--data", str(workspace["data"]),
+                     "--out", str(tmp_path / "m.ckpt")])
+        assert code == EXIT_CONFIG
+        assert "'epochs'" in capsys.readouterr().err
+
+    def test_config_values_typed_by_options(self, workspace, tmp_path):
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("timesteps=2,4\nsrp=yes\ntau=2\nlimit=16\n")
+        out = tmp_path / "m.csv"
+        code = main(["eval", "--config", str(cfg), "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--out", str(out)])
+        assert code == EXIT_OK
+        rows = load_metrics_csv(out)
+        assert [r[0] for r in rows] == [2, 4]
+        assert all(r[3] is not None for r in rows)
 
     def test_malformed_line(self, tmp_path):
         cfg = tmp_path / "run.cfg"

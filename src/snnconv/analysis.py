@@ -30,6 +30,7 @@ import json
 import math
 from dataclasses import dataclass, field
 from enum import Enum
+from fractions import Fraction
 from itertools import combinations
 
 import numpy as np
@@ -149,7 +150,7 @@ def error_type_I_distribution(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
     """
     _check_pairing(ann, snn)
     if phi is None:
-        phi = snn_simulate(snn, x, timesteps, record_spikes=False).phi
+        phi = snn_simulate(snn, x, timesteps).phi
     report = ErrorReport(error_type="I")
     prev = np.asarray(x, dtype=np.float64)
     for i, stage in enumerate(snn.if_stages):
@@ -166,7 +167,7 @@ def error_type_II_distribution(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
     """Per-layer distribution against the ordinary ANN forward pass."""
     _check_pairing(ann, snn)
     if phi is None:
-        phi = snn_simulate(snn, x, timesteps, record_spikes=False).phi
+        phi = snn_simulate(snn, x, timesteps).phi
     _, record = ann_forward(ann, np.asarray(x, dtype=np.float64))
     report = ErrorReport(error_type="II")
     for i, (stage, a) in enumerate(zip(snn.if_stages, record.post)):
@@ -186,12 +187,18 @@ class SrpEffect:
 
 
 def srp_effect_report(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
-                      tau: int, timesteps: int, eps: float = EPS_DEFAULT) -> SrpEffect:
-    """Type II distributions without and with residual-potential masking."""
+                      tau: int, timesteps: int, eps: float = EPS_DEFAULT,
+                      phi: list | None = None) -> SrpEffect:
+    """Type II distributions without and with residual-potential masking.
+
+    ``phi`` is the plain run's per-stage output, simulated here when not
+    given.
+    """
     _check_pairing(ann, snn)
-    plain = snn_simulate(snn, x, timesteps, record_spikes=False)
+    if phi is None:
+        phi = snn_simulate(snn, x, timesteps).phi
     masked = srp_inference(snn, x, tau, timesteps)
-    before = error_type_II_distribution(ann, snn, x, timesteps, eps, phi=plain.phi)
+    before = error_type_II_distribution(ann, snn, x, timesteps, eps, phi=phi)
     after = error_type_II_distribution(ann, snn, x, timesteps, eps, phi=masked.phi)
     return SrpEffect(before=before, after=after)
 
@@ -269,17 +276,27 @@ class TheoremVerdict:
     passed: bool
 
 
-def _forced_ann_value(weights, counts, timesteps: int, theta: float,
-                      presyn_theta: float):
-    """Quantized output for time-averaged presynaptic rates; (a, grid index)."""
-    y = sum(w * presyn_theta * k / timesteps for w, k in zip(weights, counts))
-    k_ann = int(np.clip(np.floor(y * timesteps / theta + 0.5), 0, timesteps))
-    return theta * k_ann / timesteps, k_ann
+def _closed_form(weights, counts, timesteps: int, theta: float, presyn_theta: float):
+    """Exact residual v(T) for every spike count, and the matched ANN grid index.
+
+    Conservation gives v(T) = theta/2 + S - theta * count with
+    S = sum_i w_i * presyn_theta * k_i, whatever the spike timing, so one
+    ``(T + 1,)`` table indexed by ``count`` serves every placement; and
+    k_ann = clip(floor(S/theta + 1/2), 0, T).  Both are computed on the
+    exact rationals of the float inputs: in floats, an exact v(T) of 0 can
+    end at -2.2e-16, and S/theta + 1/2 a hair below an integer can round
+    up to it, and either reads as a violation.  Returns
+    ``(residual, k_ann)`` with ``residual`` a list of ``Fraction``.
+    """
+    theta = Fraction(theta)
+    charge = theta / 2 + sum(Fraction(w) * Fraction(presyn_theta) * k
+                             for w, k in zip(weights, counts))
+    k_ann = min(max(math.floor(charge / theta), 0), timesteps)
+    return [charge - theta * count for count in range(timesteps + 1)], k_ann
 
 
-def _judge(count: np.ndarray, v_final: np.ndarray, k_ann: int):
+def _judge(count: np.ndarray, negative: np.ndarray, k_ann: int):
     """Apply the residual-sign clauses to simulated spike counts."""
-    negative = v_final < 0.0
     over = count > k_ann
     if k_ann == 0:
         at_least = count >= k_ann
@@ -318,6 +335,12 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
                       presyn_theta: float, placements: list) -> list:
     """Simulate every placement row with :func:`if_scan` and judge it.
 
+    The spike count comes from the simulation, the residual's sign from
+    its exact closed form at that count (see :func:`_closed_form`).  A
+    placement also fails if the simulated ``v_final`` strays from that
+    closed form by more than rounding, i.e. if the kernel does not conserve
+    charge.  Verdicts report the simulated ``v_final``.
+
     ``placements`` holds, per presynaptic neuron, ``(options, rows)``: an
     integer array whose rows are candidate spike-step sets, and the option
     each placement row uses.
@@ -325,8 +348,15 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
     count, v_final = if_scan(
         _placement_currents(weights, timesteps, presyn_theta, placements), theta)
     phi = theta * (count / timesteps)
-    a, k_ann = _forced_ann_value(weights, counts, timesteps, theta, presyn_theta)
-    passed, clause = _judge(count, v_final, k_ann)
+    residual, k_ann = _closed_form(weights, counts, timesteps, theta, presyn_theta)
+    a = theta * k_ann / timesteps
+    negative = np.array([r < 0 for r in residual])[count]
+    # rounding moves v_final by ~1e-16 of this scale; a lost or extra reset
+    # moves it by theta
+    scale = theta * timesteps + presyn_theta * sum(abs(w) * k for w, k in zip(weights, counts))
+    conserved = np.abs(v_final - np.array([float(r) for r in residual])[count]) <= 1e-9 * scale
+    passed, clause = _judge(count, negative, k_ann)
+    passed &= conserved
 
     choices = [(list(map(tuple, options.tolist())), rows.tolist())
                for options, rows in placements]

@@ -284,17 +284,25 @@ def cmd_eval(args) -> int:
     logits, _ = ann_forward(net, x)
     acc_ann = _scores_accuracy(logits, labels)
 
+    # One run at the largest T gives every shorter T as a prefix, which is
+    # bit-identical to a separate run.  Even timing's closed form depends
+    # on T, so it is evaluated per T.  Only the scores are kept, so the
+    # plain run's per-stage arrays are freed before the SRP run.
+    if min(args.timesteps) < 1:
+        raise ParameterError(f"timesteps must be >= 1, got {list(args.timesteps)}")
+    t_max = max(args.timesteps)
+    plain = None if args.even_timing else snn_simulate(snn, x, t_max).prefix_scores
+    srp = srp_inference(snn, x, args.tau, t_max).prefix_scores if args.srp else None
     rows = []
     for timesteps in args.timesteps:
         if args.even_timing:
             scores, _ = snn_forced_phi(snn, x, timesteps)
         else:
-            scores = snn_simulate(snn, x, timesteps, record_spikes=False).scores
+            scores = plain[timesteps - 1]
         acc_snn = _scores_accuracy(scores, labels)
         acc_srp = None
-        if args.srp:
-            srp = srp_inference(snn, x, args.tau, timesteps)
-            acc_srp = _scores_accuracy(srp.scores, labels)
+        if srp is not None:
+            acc_srp = _scores_accuracy(srp[timesteps - 1], labels)
         rows.append((timesteps, acc_ann, acc_snn, acc_srp))
         srp_text = "" if acc_srp is None else f" srp {acc_srp:.4f}"
         print(f"T={timesteps} ann {acc_ann:.4f} snn {acc_snn:.4f}{srp_text}")
@@ -307,8 +315,7 @@ def cmd_eval(args) -> int:
         if not 0 <= sample < len(handle):
             raise ParameterError(f"trace sample {sample} outside dataset of {len(handle)}")
         recorder = TraceRecorder()
-        snn_simulate(snn, x[sample:sample + 1], args.timesteps[0],
-                     record_spikes=False, trace=recorder)
+        snn_simulate(snn, x[sample:sample + 1], args.timesteps[0], trace=recorder)
         _ensure_parent(args.trace)
         recorder.write_csv(args.trace)
         print(f"wrote {args.trace}")
@@ -323,11 +330,13 @@ def cmd_analyze(args) -> int:
     handle = _limited(_load_dataset(args.data, args.split), args.limit)
     x = _model_inputs(net, handle)
 
+    # The plain run is shared by every report.
+    phi = snn_simulate(snn, x, timesteps).phi
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
-        "type_I": error_type_I_distribution(net, snn, x, timesteps),
-        "type_II": error_type_II_distribution(net, snn, x, timesteps),
+        "type_I": error_type_I_distribution(net, snn, x, timesteps, phi=phi),
+        "type_II": error_type_II_distribution(net, snn, x, timesteps, phi=phi),
     }
     for name, report in reports.items():
         csv_path = out_dir / f"{name}.csv"
@@ -338,7 +347,7 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(net, snn, x, args.tau, timesteps)
+        effect = srp_effect_report(net, snn, x, args.tau, timesteps, phi=phi)
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {

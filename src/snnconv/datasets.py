@@ -163,8 +163,9 @@ def load_csv_dataset(path, image_side: int = 28, num_classes: int = 10,
         raise DataValidationError(
             f"{path.name}: line {i + 2}: label {labels[i]} outside 0..{num_classes - 1}")
     images = np.asarray(pixels, dtype=np.float64).reshape(-1, 1, image_side, image_side)
-    if images.min() < 0.0 or images.max() > 1.0:
-        raise DataValidationError(f"{path.name}: pixel values outside [0, 1]")
+    # written so that NaN, which fails every comparison, is rejected too
+    if not ((images >= 0.0) & (images <= 1.0)).all():
+        raise DataValidationError(f"{path.name}: pixel values outside [0, 1] or not finite")
     return DatasetHandle(images, labels, name)
 
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError, ParameterError, ShapeError
+from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
 from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward
 
 
@@ -136,10 +136,15 @@ class SimResult:
 
     ``phi`` is the average postsynaptic potential per stage,
     ``theta * emitted_count / T``; ``scores`` is the time-averaged
-    pre-activation input to the classifier stage.
+    pre-activation input to the classifier stage.  ``prefix_scores[t - 1]``
+    is that average after the first ``t`` steps, bit-identical to the
+    ``scores`` of a separate ``t``-step run (the same readouts are summed
+    in the same order and divided by the same ``t``); ``scores`` is its
+    last entry.
     """
 
     scores: np.ndarray
+    prefix_scores: np.ndarray
     phi: list
     v_final: list
     spikes: list | None = None
@@ -173,6 +178,8 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != snn.input_shape:
         raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
+    if not np.isfinite(x).all():
+        raise DataValidationError("input contains NaN or infinite values")
     return x
 
 
@@ -189,11 +196,12 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
     v = [0.5 * stage.theta for stage in snn.if_stages]
     counts = [0] * len(v)
     spikes = [None] * len(v) if record_spikes else None
-    score_sum = None
+    # Under direct coding stage 0's input current is the same at every step.
+    current0 = snn.stages[0].apply(x)
+    score_sum = prefix_scores = None
     for t in range(timesteps):
-        cur = x
+        current = current0
         for i, stage in enumerate(snn.if_stages):
-            current = stage.apply(cur)
             if trace is not None:
                 u = v[i] + current
             v[i], fired = if_step(v[i], current, stage.theta)
@@ -207,19 +215,28 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
                 if t == 0:
                     spikes[i] = np.zeros((timesteps, *s.shape))
                 spikes[i][t] = s
-            cur = stage.theta * s
-        readout = snn.stages[-1].apply(cur)
-        score_sum = readout if score_sum is None else score_sum + readout
+            current = snn.stages[i + 1].apply(stage.theta * s)
+        if t == 0:
+            score_sum = current
+            prefix_scores = np.empty((timesteps, *current.shape))
+        else:
+            score_sum = score_sum + current
+        prefix_scores[t] = score_sum / (t + 1)
     phi = [stage.theta * (c / timesteps) for stage, c in zip(snn.if_stages, counts)]
     if record_spikes:
         spikes = [np.moveaxis(sp, 0, -1) for sp in spikes]  # (..., T) per stage
-    return SimResult(scores=score_sum / timesteps, phi=phi, v_final=v,
-                     spikes=spikes, masks=masks)
+    return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=phi,
+                     v_final=v, spikes=spikes, masks=masks)
 
 
 def snn_simulate(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                 record_spikes: bool = True, trace: TraceRecorder | None = None) -> SimResult:
-    """Simulate with direct coding for the given number of steps."""
+                 record_spikes: bool = False, trace: TraceRecorder | None = None) -> SimResult:
+    """Simulate with direct coding for the given number of steps.
+
+    One run at ``timesteps`` also gives every shorter run's scores, in
+    ``prefix_scores``.  ``record_spikes`` keeps float64 spike trains of
+    ``timesteps`` times the network's neuron count per sample.
+    """
     x = _checked_input(snn, x, timesteps=timesteps)
     return _run(snn, x, timesteps, record_spikes=record_spikes, trace=trace)
 
@@ -232,7 +249,8 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
     potential ends negative are marked dead.  Potentials are then reset to
     theta/2, and stage 2 runs ``timesteps`` steps with each stage's spike
     output gated by its mask.  Stage-1 spikes are discarded; only the masks
-    survive into stage 2.
+    survive into stage 2.  The masks depend on ``tau`` alone, so
+    ``prefix_scores`` gives every shorter stage 2 as well.
     """
     x = _checked_input(snn, x, tau=tau, timesteps=timesteps)
     masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]

@@ -1,10 +1,12 @@
 import csv
+import itertools
 import json
 
 import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
+from snnconv import analysis
 from snnconv.analysis import (
     ALL_CASES,
     EPS_DEFAULT,
@@ -26,7 +28,7 @@ from snnconv.analysis import (
     write_report_csv,
     write_report_json,
 )
-from snnconv.engine import convert
+from snnconv.engine import convert, snn_simulate
 from snnconv.errors import PairingError, ParameterError
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
@@ -181,6 +183,16 @@ class TestSrpEffect:
         assert effect.after.layers[1].fraction(C.NO_ERROR) == 1.0
         assert effect.case_delta(C.CASE1) == [0.0, -1.0]
 
+    def test_shared_plain_phi(self, rng):
+        net = random_dense_net(rng, 4)
+        snn = convert(net)
+        x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
+        phi = snn_simulate(snn, x, 4).phi
+        shared = srp_effect_report(net, snn, x, tau=3, timesteps=4, phi=phi)
+        own = srp_effect_report(net, snn, x, tau=3, timesteps=4)
+        assert report_summary(shared.before) == report_summary(own.before)
+        assert report_summary(shared.after) == report_summary(own.after)
+
     def test_desk_scale_case1_not_worse(self, frozen_mlp):
         x = frozen_mlp["x_test"][:256]
         effect = srp_effect_report(frozen_mlp["net"], frozen_mlp["snn"], x,
@@ -222,6 +234,41 @@ class TestTheoremEnumeration:
         assert spiking.a == 0.0
         assert spiking.phi == 0.5
         assert spiking.v_final == pytest.approx(-0.5)
+
+    def test_zero_residual_judged_exactly(self):
+        # every placement ends with count 3 and exact v(T) = 0; the float
+        # run leaves -2.2e-16 on some, which must not read as over-firing
+        verdicts = verify_theorem1([0.5, -1.2, 1.7], 8, [2, 3, 3])
+        assert len(verdicts) == 87808
+        assert not theorem_failures(verdicts)
+        assert min(v.v_final for v in verdicts) < 0.0  # verdicts keep the float run
+
+    def test_decimal_weights_no_false_violations(self):
+        # decimal weights put y*T/theta + 1/2 and v(T) on or a hair off
+        # integers and zero; float judging reported violations on many of
+        # these, e.g. weights (-0.2, 0.7) with counts (1, 1) at T = 1
+        grid = [round(0.1 * i, 1) for i in range(-12, 13)]
+        for timesteps in (1, 2, 3):
+            for w1, w2 in itertools.product(grid, repeat=2):
+                for k1, k2 in itertools.product(range(timesteps + 1), repeat=2):
+                    verdicts = verify_theorem1([w1, w2], timesteps, [k1, k2])
+                    assert not theorem_failures(verdicts), (w1, w2, k1, k2, timesteps)
+
+    def test_kernel_that_loses_charge_fails(self, monkeypatch):
+        # the exact closed form must not make the check vacuous: a kernel
+        # that resets to zero instead of subtracting theta is caught
+        def reset_to_zero(currents, theta):
+            v = 0.5 * theta
+            count = np.zeros(currents.shape[1:], dtype=np.int64)
+            for current in currents:
+                u = v + current
+                fired = u >= theta
+                v = np.where(fired, 0.0, u)
+                count += fired
+            return count, v
+
+        monkeypatch.setattr(analysis, "if_scan", reset_to_zero)
+        assert theorem_failures(verify_theorem1([2.0, -1.0], 6, [3, 3]))
 
     @pytest.mark.parametrize("kwargs", [
         dict(weights=[1.0], timesteps=9, counts=[1]),

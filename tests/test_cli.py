@@ -1,9 +1,13 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
 import pytest
 
+import snnconv
 from snnconv.checkpoint import load_checkpoint
 from snnconv.cli import (
     EXIT_CONFIG,
@@ -136,6 +140,25 @@ class TestEval:
         assert main(args + ["--out", str(b)]) == EXIT_OK
         assert a.read_bytes() == b.read_bytes()
 
+    def test_rows_match_single_timestep_runs(self, workspace, tmp_path):
+        # eval simulates once at max(T); each row must equal its own run
+        args = ["eval", "--model", str(workspace["model"]),
+                "--data", str(workspace["data"]), "--srp", "--tau", "3"]
+        together = tmp_path / "all.csv"
+        assert main(args + ["--timesteps", "4,1,3", "--out", str(together)]) == EXIT_OK
+        rows = []
+        for timesteps in ("4", "1", "3"):
+            out = tmp_path / f"t{timesteps}.csv"
+            assert main(args + ["--timesteps", timesteps, "--out", str(out)]) == EXIT_OK
+            rows += load_metrics_csv(out)
+        assert load_metrics_csv(together) == rows
+
+    def test_timesteps_must_be_positive(self, workspace, tmp_path):
+        code = main(["eval", "--model", str(workspace["model"]),
+                     "--data", str(workspace["data"]), "--timesteps", "0,2",
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_CONFIG
+
     def test_even_timing_matches_ann_at_matched_steps(self, workspace, tmp_path):
         out = tmp_path / "even.csv"
         code = main(["eval", "--model", str(workspace["model"]),
@@ -184,6 +207,17 @@ class TestEval:
                      "--out", str(tmp_path / "m.csv")])
         assert code == EXIT_DATA
 
+    def test_nan_pixel_is_data_error(self, workspace, tmp_path):
+        csv_path = tmp_path / "nan.csv"
+        write_csv_dataset(DatasetHandle(np.full((1, 1, 28, 28), 0.5), np.array([3])),
+                          csv_path)
+        text = csv_path.read_text().splitlines()
+        text[1] = text[1].replace("0.500000", "nan", 1)
+        csv_path.write_text("\n".join(text) + "\n")
+        code = main(["eval", "--model", str(workspace["model"]), "--data", str(csv_path),
+                     "--out", str(tmp_path / "m.csv")])
+        assert code == EXIT_DATA
+
     def test_missing_split(self, workspace, tmp_path):
         code = main(["eval", "--model", str(workspace["model"]),
                      "--data", str(workspace["data"]), "--split", "validate",
@@ -217,6 +251,26 @@ class TestAnalyze:
         assert {"before", "after"} <= set(payload)
 
 
+def test_outputs_independent_of_blas_threads(workspace, tmp_path):
+    """eval and analyze write byte-identical files with 1 and 2 BLAS threads."""
+    outputs = {}
+    for threads in ("1", "2"):
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, OMP_NUM_THREADS=threads,
+                   MKL_NUM_THREADS=threads,
+                   PYTHONPATH=str(Path(snnconv.__file__).resolve().parents[1]))
+        out = tmp_path / threads
+        common = ["--model", str(workspace["model"]), "--data", str(workspace["data"]),
+                  "--srp", "--tau", "3"]
+        for argv in (["eval", *common, "--timesteps", "1,2,4", "--out", str(out / "m.csv")],
+                     ["analyze", *common, "--timesteps", "4", "--out", str(out / "a")]):
+            subprocess.run([sys.executable, "-m", "snnconv.cli", *argv], env=env,
+                           check=True, capture_output=True, timeout=120)
+        outputs[threads] = {p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()}
+    assert len(outputs["1"]) == 8  # metrics.csv and 7 analysis files
+    assert outputs["1"] == outputs["2"]
+
+
 class TestVerifyTheorem:
     def test_sweep_clean(self, tmp_path, capsys):
         out = tmp_path / "summary.json"
@@ -234,6 +288,13 @@ class TestVerifyTheorem:
         assert code == EXIT_OK
         out = capsys.readouterr().out
         assert "400" in out and "0 violations" in out
+
+    def test_zero_residual_instance_clean(self, capsys):
+        # exact v(T) = 0 where the float run gives -2.2e-16
+        code = main(["verify-theorem", "--weights=0.5,-1.2,1.7", "--counts=2,3,3",
+                     "--timesteps=8"])
+        assert code == EXIT_OK
+        assert "87808 spike-timing placements, 0 violations" in capsys.readouterr().out
 
     def test_instance_needs_counts(self):
         assert main(["verify-theorem", "--weights", "2,-1"]) == EXIT_CONFIG

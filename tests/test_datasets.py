@@ -194,6 +194,14 @@ class TestCsv:
         with pytest.raises(DataValidationError, match="pixel"):
             load_csv_dataset(path, image_side=2)
 
+    @pytest.mark.parametrize("value", ["nan", "inf", "-inf"])
+    def test_non_finite_pixel(self, tmp_path, value):
+        path = self.write(tmp_path / "d.csv",
+                          "label,f0,f1,f2,f3\n"
+                          f"1,0.1,{value},0.3,0.4\n")
+        with pytest.raises(DataValidationError, match="pixel"):
+            load_csv_dataset(path, image_side=2)
+
     def test_large_round_trip_exact(self, rng, tmp_path):
         # values on the 1e-6 grid survive the %.6f serialization bitwise
         n, side = 10_000, 7

@@ -17,8 +17,8 @@ from snnconv.engine import (
     snn_simulate,
     srp_inference,
 )
-from snnconv.errors import ConversionError, ParameterError, ShapeError
-from snnconv.network import NetworkSpec, ann_forward, cnn_preset
+from snnconv.errors import ConversionError, DataValidationError, ParameterError, ShapeError
+from snnconv.network import NetworkSpec, ann_forward, cnn_preset, mlp_preset
 
 from helpers import case1_repair_net, dense, positive_dense_net, random_dense_net, timing_fixture_net
 
@@ -210,6 +210,50 @@ class TestSimulate:
             snn_simulate(snn, np.zeros((1, 3)), 0)
         with pytest.raises(ShapeError):
             snn_simulate(snn, np.zeros((1, 5)), 4)
+
+    @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
+    def test_non_finite_input_rejected(self, rng, value):
+        # NaN >= theta is false, so a NaN sample would otherwise run silent
+        snn = convert(random_dense_net(rng, 4, sizes=[3, 4, 2]))
+        x = np.zeros((2, 3))
+        x[1, 2] = value
+        for run in (lambda: snn_simulate(snn, x, 4), lambda: srp_inference(snn, x, 2, 4),
+                    lambda: snn_forced_phi(snn, x, 4)):
+            with pytest.raises(DataValidationError):
+                run()
+
+    def test_spikes_not_recorded_by_default(self, rng):
+        snn = convert(random_dense_net(rng, 4))
+        x = rng.uniform(0, 1, (2, snn.input_shape[0]))
+        assert snn_simulate(snn, x, 5).spikes is None
+
+    def test_readout_only_network(self, rng):
+        # no IF stage: every step's readout is the classifier on the input
+        net = mlp_preset(4, hidden=(), in_features=3, classes=2)
+        net.layers[0].weights[:] = rng.normal(size=(2, 3))
+        snn = convert(net)
+        x = rng.uniform(0, 1, (4, 3))
+        res = snn_simulate(snn, x, 3)
+        assert res.phi == [] and np.allclose(res.scores, ann_forward(net, x)[0])
+
+
+class TestPrefixScores:
+    """One run at max(T) gives every shorter run's scores, bit for bit."""
+
+    @pytest.mark.parametrize("fixture,samples", [("frozen_mlp", 200), ("frozen_cnn", 40)])
+    def test_prefixes_match_separate_runs(self, request, fixture, samples):
+        frozen = request.getfixturevalue(fixture)
+        snn, x = frozen["snn"], frozen["x_test"][:samples]
+        t_max, tau = 8, 4
+        plain = snn_simulate(snn, x, t_max)
+        masked = srp_inference(snn, x, tau, t_max)
+        assert plain.prefix_scores.shape == (t_max, samples, 10)
+        assert np.array_equal(plain.scores, plain.prefix_scores[-1])
+        for t in range(1, t_max + 1):
+            assert np.array_equal(plain.prefix_scores[t - 1],
+                                  snn_simulate(snn, x, t).scores)
+            assert np.array_equal(masked.prefix_scores[t - 1],
+                                  srp_inference(snn, x, tau, t).scores)
 
 
 class TestSrp:

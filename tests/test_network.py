@@ -65,6 +65,16 @@ class TestPrimitives:
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
 
+    @pytest.mark.parametrize("k", range(1, 8))
+    def test_avgpool_matches_reshape_mean(self, rng, k):
+        # the reshape-and-mean expression the strided adds replaced
+        layer = LayerParams("avgpool2d", pool=k)
+        normal = rng.normal(size=(3, 2, 3 * k, 2 * k))
+        spikes = 0.7 * rng.integers(0, 2, size=(3, 2, 3 * k, 2 * k))
+        for x in (normal, spikes):
+            want = x.reshape(3, 2, 3, k, 2, k).mean(axis=(3, 5))
+            assert np.array_equal(avgpool2d_forward(layer, x), want)
+
     def test_pool_linearity(self, rng):
         layer = LayerParams("avgpool2d", pool=2)
         x, z = rng.normal(size=(2, 1, 3, 4, 4))

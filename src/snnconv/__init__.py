@@ -20,6 +20,7 @@ from .analysis import (
     ErrorReport,
     LayerErrorStats,
     SrpEffect,
+    TheoremResult,
     TheoremVerdict,
     UnevennessCase,
     classify_case,
@@ -29,6 +30,7 @@ from .analysis import (
     random_theorem_sweep,
     sample_theorem1,
     srp_effect_report,
+    theorem_failures,
     verify_theorem1,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -87,10 +89,11 @@ __version__ = "0.1.0"
 
 __all__ = [
     "QcfsActivation", "qcfs", "qcfs_backward",
-    "ErrorReport", "LayerErrorStats", "SrpEffect", "TheoremVerdict",
+    "ErrorReport", "LayerErrorStats", "SrpEffect", "TheoremResult", "TheoremVerdict",
     "UnevennessCase", "classify_case", "classify_cases",
     "error_type_I_distribution", "error_type_II_distribution",
-    "random_theorem_sweep", "sample_theorem1", "srp_effect_report", "verify_theorem1",
+    "random_theorem_sweep", "sample_theorem1", "srp_effect_report", "theorem_failures",
+    "verify_theorem1",
     "load_checkpoint", "save_checkpoint",
     "DatasetHandle", "load_csv_dataset", "load_idx_pair",
     "standardization_stats", "standardize", "synthetic_digits",

@@ -28,6 +28,7 @@ from __future__ import annotations
 import csv
 import json
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
@@ -276,6 +277,41 @@ class TheoremVerdict:
     passed: bool
 
 
+@dataclass(eq=False)
+class TheoremResult(Sequence):
+    """Every placement's outcome for one theorem instance, as arrays.
+
+    ``phi``, ``v_final`` and ``passed`` hold one entry per placement row.
+    ``placements`` holds, per presynaptic neuron, ``(options, rows)``: an
+    integer array whose rows are candidate spike-step sets, and the option
+    each placement row uses.  ``result[i]`` builds row ``i``'s
+    :class:`TheoremVerdict` on demand, so only the rows read cost a verdict.
+    """
+
+    weights: tuple
+    counts: tuple
+    timesteps: int
+    a: float
+    clause: str
+    placements: list
+    phi: np.ndarray
+    v_final: np.ndarray
+    passed: np.ndarray
+
+    def __len__(self) -> int:
+        return len(self.passed)
+
+    def __getitem__(self, index):
+        if isinstance(index, slice):
+            return [self[i] for i in range(len(self))[index]]
+        i = range(len(self))[index]  # negative indices; IndexError out of range
+        return TheoremVerdict(
+            weights=self.weights, counts=self.counts,
+            timings=tuple(tuple(options[rows[i]].tolist()) for options, rows in self.placements),
+            timesteps=self.timesteps, a=self.a, phi=float(self.phi[i]),
+            v_final=float(self.v_final[i]), clause=self.clause, passed=bool(self.passed[i]))
+
+
 def _closed_form(weights, counts, timesteps: int, theta: float, presyn_theta: float):
     """Exact residual v(T) for every spike count, and the matched ANN grid index.
 
@@ -296,12 +332,15 @@ def _closed_form(weights, counts, timesteps: int, theta: float, presyn_theta: fl
 
 
 def _judge(count: np.ndarray, negative: np.ndarray, k_ann: int):
-    """Apply the residual-sign clauses to simulated spike counts."""
+    """Apply the residual-sign clauses to simulated spike counts.
+
+    When ``a == 0`` the first half of clause (i), ``v(T) < 0 => phi >= a``,
+    holds trivially because ``phi >= 0``, so only ``phi > a => v(T) < 0``
+    is tested.
+    """
     over = count > k_ann
     if k_ann == 0:
-        at_least = count >= k_ann
-        passed = (~negative | at_least) & (~over | negative)
-        return passed, "zero-activation"
+        return ~over | negative, "zero-activation"
     return over == negative, "positive-activation"
 
 
@@ -332,18 +371,16 @@ def _placement_currents(weights, timesteps: int, presyn_theta: float,
 
 
 def _check_placements(weights, counts, timesteps: int, theta: float,
-                      presyn_theta: float, placements: list) -> list:
+                      presyn_theta: float, placements: list) -> TheoremResult:
     """Simulate every placement row with :func:`if_scan` and judge it.
 
     The spike count comes from the simulation, the residual's sign from
     its exact closed form at that count (see :func:`_closed_form`).  A
     placement also fails if the simulated ``v_final`` strays from that
     closed form by more than rounding, i.e. if the kernel does not conserve
-    charge.  Verdicts report the simulated ``v_final``.
+    charge.  The result reports the simulated ``v_final``.
 
-    ``placements`` holds, per presynaptic neuron, ``(options, rows)``: an
-    integer array whose rows are candidate spike-step sets, and the option
-    each placement row uses.
+    ``placements`` is laid out as in :class:`TheoremResult`.
     """
     count, v_final = if_scan(
         _placement_currents(weights, timesteps, presyn_theta, placements), theta)
@@ -357,21 +394,13 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
     conserved = np.abs(v_final - np.array([float(r) for r in residual])[count]) <= 1e-9 * scale
     passed, clause = _judge(count, negative, k_ann)
     passed &= conserved
-
-    choices = [(list(map(tuple, options.tolist())), rows.tolist())
-               for options, rows in placements]
-    return [
-        TheoremVerdict(
-            weights=weights, counts=counts,
-            timings=tuple(opts[row[i]] for opts, row in choices),
-            timesteps=timesteps, a=a, phi=float(phi[i]), v_final=float(v_final[i]),
-            clause=clause, passed=bool(passed[i]))
-        for i in range(len(phi))
-    ]
+    return TheoremResult(weights=weights, counts=counts, timesteps=timesteps, a=a,
+                         clause=clause, placements=placements, phi=phi,
+                         v_final=v_final, passed=passed)
 
 
 def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
-                    presyn_theta: float = 1.0) -> list:
+                    presyn_theta: float = 1.0) -> TheoremResult:
     """Enumerate all spike-timing placements and check both clauses.
 
     ``weights`` is the fan-in weight vector (at most 3 presynaptic
@@ -402,7 +431,7 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
 
 def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
                     seed: int = 0, theta: float = 1.0,
-                    presyn_theta: float = 1.0) -> list:
+                    presyn_theta: float = 1.0) -> TheoremResult:
     """Seeded random spike placements for instances beyond the enumeration cap.
 
     Applies the same residual-sign clauses as :func:`verify_theorem1` but
@@ -422,8 +451,9 @@ def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
     return _check_placements(weights, counts, timesteps, theta, presyn_theta, placements)
 
 
-def theorem_failures(verdicts: list) -> list:
-    return [v for v in verdicts if not v.passed]
+def theorem_failures(result: TheoremResult) -> list:
+    """Verdicts of the failing placements; no verdict is built for the rest."""
+    return [result[i] for i in np.flatnonzero(~result.passed)]
 
 
 def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0,
@@ -442,7 +472,7 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0,
             n = int(rng.integers(1, max_presyn + 1))
             weights = rng.uniform(-weight_scale, weight_scale, size=n)
             counts = rng.integers(0, timesteps + 1, size=n)
-            verdicts = verify_theorem1(weights, timesteps, counts)
-            total += len(verdicts)
-            failures.extend(theorem_failures(verdicts))
+            result = verify_theorem1(weights, timesteps, counts)
+            total += len(result)
+            failures.extend(theorem_failures(result))
     return total, failures

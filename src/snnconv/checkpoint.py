@@ -120,6 +120,9 @@ def load_checkpoint(path):
     if not isinstance(header, dict):
         raise DataFormatError(f"checkpoint header at byte {header_start} is not a JSON object")
 
+    if (len(blob) - header_end) % 4:
+        raise DataFormatError(f"payload truncated at byte {len(blob)}: "
+                              "not a whole number of float32 values")
     payload = np.frombuffer(blob[header_end:], dtype="<f4")
     expected = _field(header, "payload_count", lambda v: v is None or _count(v, 0), None)
     if expected is not None and payload.size != expected:

@@ -368,15 +368,15 @@ def cmd_verify_theorem(args) -> int:
         if args.counts is None:
             raise ParameterError("--counts is required when --weights is given")
         timesteps = args.timesteps[0]
-        verdicts = verify_theorem1(args.weights, timesteps, args.counts, theta=args.theta)
-        failures = theorem_failures(verdicts)
-        total = len(verdicts)
+        result = verify_theorem1(args.weights, timesteps, args.counts, theta=args.theta)
+        failures = theorem_failures(result)
+        total = len(result)
         print(f"instance: weights={list(args.weights)} counts={list(args.counts)} "
               f"T={timesteps} theta={args.theta}")
         print(f"checked {total} spike-timing placements, {len(failures)} violations")
         summary = {"mode": "instance", "placements": total,
                    "violations": len(failures),
-                   "a": verdicts[0].a if verdicts else None}
+                   "a": result.a}
     else:
         total, failures = random_theorem_sweep(args.draws, args.timesteps, seed=args.seed)
         print(f"checked {total} placements over {args.draws} draws x T in "

@@ -152,15 +152,22 @@ class SimResult:
 
 
 class TraceRecorder:
-    """Collects per-step (stage, neuron, t, u, s, v) rows for debugging."""
+    """Collects per-step ``(stage, t, u, s, v)`` array copies for debugging.
+
+    ``rows`` and :meth:`write_csv` flatten them into one
+    ``(stage, neuron, t, u, s, v)`` row per neuron, in recording order.
+    """
 
     def __init__(self):
-        self.rows = []
+        self.steps = []
 
     def record(self, stage: int, t: int, u: np.ndarray, s: np.ndarray, v: np.ndarray) -> None:
-        flat_u, flat_s, flat_v = (np.ravel(a) for a in (u, s, v))
-        for neuron in range(flat_u.size):
-            self.rows.append((stage, neuron, t, flat_u[neuron], flat_s[neuron], flat_v[neuron]))
+        self.steps.append((stage, t, *(np.array(a).ravel() for a in (u, s, v))))
+
+    @property
+    def rows(self) -> list:
+        return [(stage, neuron, t, *values) for stage, t, u, s, v in self.steps
+                for neuron, values in enumerate(zip(u.tolist(), s.tolist(), v.tolist()))]
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:

@@ -12,6 +12,7 @@ from snnconv.analysis import (
     EPS_DEFAULT,
     MAX_ENUM_TIMESTEPS,
     MAX_PRESYN,
+    TheoremVerdict,
     UnevennessCase,
     classify_case,
     classify_cases,
@@ -201,6 +202,18 @@ class TestSrpEffect:
         assert all(d <= 1e-12 for d in deltas)
 
 
+def _reset_to_zero(currents, theta):
+    """A broken IF kernel: it resets to zero instead of subtracting theta."""
+    v = 0.5 * theta
+    count = np.zeros(currents.shape[1:], dtype=np.int64)
+    for current in currents:
+        u = v + current
+        fired = u >= theta
+        v = np.where(fired, 0.0, u)
+        count += fired
+    return count, v
+
+
 class TestTheoremEnumeration:
     def test_reference_instance(self):
         verdicts = verify_theorem1([2.0, -1.0], 6, [3, 3])
@@ -257,17 +270,7 @@ class TestTheoremEnumeration:
     def test_kernel_that_loses_charge_fails(self, monkeypatch):
         # the exact closed form must not make the check vacuous: a kernel
         # that resets to zero instead of subtracting theta is caught
-        def reset_to_zero(currents, theta):
-            v = 0.5 * theta
-            count = np.zeros(currents.shape[1:], dtype=np.int64)
-            for current in currents:
-                u = v + current
-                fired = u >= theta
-                v = np.where(fired, 0.0, u)
-                count += fired
-            return count, v
-
-        monkeypatch.setattr(analysis, "if_scan", reset_to_zero)
+        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
         assert theorem_failures(verify_theorem1([2.0, -1.0], 6, [3, 3]))
 
     @pytest.mark.parametrize("kwargs", [
@@ -336,6 +339,106 @@ class TestTheoremSampling:
     def test_refusals(self, kwargs):
         with pytest.raises(ParameterError):
             sample_theorem1(**kwargs)
+
+
+def _eager_verdicts(result):
+    """One verdict per placement row, built up front from the result's
+    arrays the way the checker did before results became lazy."""
+    choices = [(list(map(tuple, options.tolist())), rows.tolist())
+               for options, rows in result.placements]
+    return [
+        TheoremVerdict(
+            weights=result.weights, counts=result.counts,
+            timings=tuple(opts[row[i]] for opts, row in choices),
+            timesteps=result.timesteps, a=result.a, phi=float(result.phi[i]),
+            v_final=float(result.v_final[i]), clause=result.clause,
+            passed=bool(result.passed[i]))
+        for i in range(len(result.phi))
+    ]
+
+
+def _python_typed(verdict):
+    return (all(type(t) is int for steps in verdict.timings for t in steps)
+            and all(type(steps) is tuple for steps in verdict.timings)
+            and all(type(x) is float for x in (verdict.a, verdict.phi, verdict.v_final))
+            and type(verdict.passed) is bool)
+
+
+class TestTheoremResult:
+    @pytest.fixture
+    def counted(self, monkeypatch):
+        built = []
+
+        class CountingVerdict(TheoremVerdict):
+            def __init__(self, *args, **kwargs):
+                built.append(1)
+                super().__init__(*args, **kwargs)
+
+        monkeypatch.setattr(analysis, "TheoremVerdict", CountingVerdict)
+        return built
+
+    def test_clean_check_builds_no_verdicts(self, counted):
+        result = verify_theorem1([0.5, -1.2, 1.7], 8, [4, 4, 4])
+        assert len(result) == 343_000
+        assert theorem_failures(result) == []
+        assert len(counted) == 0
+
+    def test_failures_build_one_verdict_each(self, counted, monkeypatch):
+        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
+        result = verify_theorem1([2.0, -1.0], 6, [3, 3])
+        failures = theorem_failures(result)
+        n_failed = int((~result.passed).sum())
+        assert n_failed > 0
+        assert len(failures) == len(counted) == n_failed
+        assert not any(v.passed for v in failures)
+
+    @pytest.mark.parametrize("check", [
+        lambda: verify_theorem1([2.0, -1.0], 6, [3, 3]),
+        lambda: verify_theorem1([0.0, 0.0], 4, [2, 3]),
+        lambda: verify_theorem1([0.6, -0.6], 2, [1, 1]),
+        lambda: verify_theorem1([1.0, -0.5, 0.3], 3, [0, 2, 3]),
+        lambda: sample_theorem1([1.4, -0.8, 0.3], 12, [7, 4, 9], draws=200, seed=0),
+        lambda: sample_theorem1([0.5, -0.5], 9, [4, 0], draws=50, seed=1),
+    ], ids=["reference", "zero-weights", "silencing", "zero-count", "sampled",
+            "sampled-zero-count"])
+    def test_lazy_verdicts_equal_eager(self, check):
+        result = check()
+        verdicts = list(result)
+        assert verdicts == _eager_verdicts(result)
+        assert all(_python_typed(v) for v in verdicts)
+
+    def test_indexing(self):
+        result = verify_theorem1([2.0, -1.0], 6, [3, 3])
+        eager = _eager_verdicts(result)
+        n = len(result)
+        assert result[-1] == eager[-1] == result[n - 1]
+        assert result[-n] == eager[0]
+        assert result[3:11:2] == eager[3:11:2]
+        assert result[::-1] == eager[::-1]
+        assert result[n:] == []
+        assert result[np.int64(5)] == eager[5]
+        for index in (n, -n - 1):
+            with pytest.raises(IndexError):
+                result[index]
+
+    def test_random_sweep_counts_and_failures(self, monkeypatch):
+        total, failures = random_theorem_sweep(5, (3,), seed=11)
+        assert total == sum(len(verify_theorem1(*args)) for args in _sweep_draws(5, (3,), 11))
+        assert failures == []
+        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
+        total, failures = random_theorem_sweep(5, (3,), seed=11)
+        assert failures == [v for args in _sweep_draws(5, (3,), 11)
+                            for v in verify_theorem1(*args) if not v.passed]
+
+
+def _sweep_draws(draws, timesteps_list, seed):
+    """The instances ``random_theorem_sweep`` draws, replayed."""
+    rng = np.random.default_rng(seed)
+    for timesteps in timesteps_list:
+        for _ in range(draws):
+            n = int(rng.integers(1, MAX_PRESYN + 1))
+            weights = rng.uniform(-2.0, 2.0, size=n)
+            yield weights, timesteps, rng.integers(0, timesteps + 1, size=n)
 
 
 class TestEmission:

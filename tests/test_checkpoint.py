@@ -127,6 +127,13 @@ class TestCorruption:
         with pytest.raises(DataFormatError, match="payload truncated"):
             load_checkpoint(path)
 
+    def test_truncated_inside_a_value(self, rng, tmp_path):
+        blob = self.good_bytes(rng, tmp_path)
+        path = tmp_path / "bad.ckpt"
+        path.write_bytes(blob[:-3])  # a partial float32 at the end
+        with pytest.raises(DataFormatError, match="payload truncated"):
+            load_checkpoint(path)
+
     def test_garbled_header_json(self, rng, tmp_path):
         blob = bytearray(self.good_bytes(rng, tmp_path))
         blob[len(MAGIC) + 4] = ord("?")  # break the opening brace

@@ -1,3 +1,4 @@
+import csv
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ import numpy as np
 import pytest
 
 import snnconv
+from snnconv import cli
 from snnconv.checkpoint import load_checkpoint
 from snnconv.cli import (
     EXIT_CONFIG,
@@ -119,6 +121,25 @@ class TestTrainConvert:
         assert (tmp_path / "m.ckpt").exists()
 
 
+class _TupleTraceRecorder:
+    """Reference trace writer: one Python tuple per neuron and step, the
+    layout ``TraceRecorder`` writes from its per-step arrays."""
+
+    def __init__(self):
+        self.rows = []
+
+    def record(self, stage, t, u, s, v):
+        flat_u, flat_s, flat_v = (np.ravel(a) for a in (u, s, v))
+        for neuron in range(flat_u.size):
+            self.rows.append((stage, neuron, t, flat_u[neuron], flat_s[neuron], flat_v[neuron]))
+
+    def write_csv(self, path):
+        with open(path, "w", newline="") as fh:
+            writer = csv.writer(fh)
+            writer.writerow(["layer", "neuron", "t", "u", "s", "v"])
+            writer.writerows(self.rows)
+
+
 class TestEval:
     def test_metrics_csv_round_trip(self, workspace, tmp_path):
         out = tmp_path / "metrics.csv"
@@ -186,6 +207,20 @@ class TestEval:
         assert code == EXIT_OK
         first = trace.read_text().splitlines()[0]
         assert first == "layer,neuron,t,u,s,v"
+
+    def test_trace_csv_matches_tuple_writer(self, workspace, tmp_path, monkeypatch):
+        def run(name):
+            return main(["eval", "--model", str(workspace["model"]),
+                         "--data", str(workspace["data"]), "--timesteps", "3,2",
+                         "--trace-sample", "7", "--out", str(tmp_path / f"{name}-m.csv"),
+                         "--trace", str(tmp_path / f"{name}.csv")])
+
+        assert run("arrays") == EXIT_OK
+        monkeypatch.setattr(cli, "TraceRecorder", _TupleTraceRecorder)
+        assert run("tuples") == EXIT_OK
+        reference = (tmp_path / "tuples.csv").read_bytes()
+        assert reference.count(b"\n") == 1 + 3 * (256 + 128)  # header, 3 steps x 384 neurons
+        assert (tmp_path / "arrays.csv").read_bytes() == reference
 
     def test_trace_sample_out_of_range(self, workspace, tmp_path):
         code = main(["eval", "--model", str(workspace["model"]),

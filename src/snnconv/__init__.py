@@ -61,7 +61,6 @@ from .errors import (
     ConversionError,
     DataFormatError,
     DataValidationError,
-    PairingError,
     ParameterError,
     ShapeError,
     SnnConvError,
@@ -102,7 +101,7 @@ __all__ = [
     "even_timing_phi", "if_scan", "if_step", "snn_forced_phi", "snn_simulate",
     "srp_inference",
     "ConversionError", "DataFormatError", "DataValidationError",
-    "PairingError", "ParameterError", "ShapeError", "SnnConvError",
+    "ParameterError", "ShapeError", "SnnConvError",
     "TrainingDivergenceError",
     "ActivationRecord", "LayerParams", "NetworkSpec", "ann_forward",
     "cnn_preset", "mlp_preset",

@@ -10,10 +10,12 @@ network's average output ``phi`` splits into four cases by the value of
     case 3:  0 < a < lam   and phi < a
     case 4:  a == lam      and phi < a
 
-Type I distributions force each layer's input to equal the spiking
-average of the previous layer before recomputing ``a``, isolating the
-error a single layer generates; Type II compares against the ordinary ANN
-forward pass and therefore accumulates across layers.
+Both distributions read the converted network alone: its stages share the
+ANN's layer objects, so ``a = qcfs(stage.apply(prev))`` is the ANN's own
+activation.  Type I distributions feed each stage the spiking average of
+the previous stage, isolating the error a single layer generates; Type II
+feeds it the previous stage's ``a``, i.e. compares against the ordinary
+ANN forward pass, and therefore accumulates across layers.
 
 The theorem checker enumerates every spike-timing placement for a small
 fan-in neuron at matched step counts (T == L) and verifies that a negative
@@ -38,8 +40,7 @@ import numpy as np
 
 from .activation import qcfs
 from .engine import SnnNetwork, if_scan, snn_simulate, srp_inference
-from .errors import ParameterError, PairingError, SnnConvError
-from .network import NetworkSpec, ann_forward
+from .errors import ParameterError
 
 EPS_DEFAULT = 1e-6
 
@@ -108,9 +109,6 @@ class ErrorReport:
     error_type: str  # "I" or "II"
     layers: list = field(default_factory=list)
 
-    def layer(self, index: int) -> LayerErrorStats:
-        return self.layers[index]
-
 
 def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float,
                  eps: float) -> LayerErrorStats:
@@ -123,57 +121,37 @@ def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float,
                            mean_abs_err=float(err.mean()), max_abs_err=float(err.max()))
 
 
-def _check_pairing(ann: NetworkSpec, snn: SnnNetwork) -> None:
-    thetas = snn.thetas
-    lams = ann.thresholds
-    if len(thetas) != len(lams):
-        raise PairingError(f"ANN has {len(lams)} activation layers, SNN has {len(thetas)}")
-    for i, (lam, theta) in enumerate(zip(lams, thetas)):
-        if lam != theta:
-            raise PairingError(f"stage {i}: threshold {theta} != source {lam}")
-    ann_weighted = [l for l in ann.layers if l.weights is not None]
-    snn_weighted = [l for s in snn.stages for l in s.layers if l.weights is not None]
-    if len(ann_weighted) != len(snn_weighted):
-        raise PairingError("weighted layer counts differ")
-    for i, (la, ls) in enumerate(zip(ann_weighted, snn_weighted)):
-        if la.weights is not ls.weights and not np.array_equal(la.weights, ls.weights):
-            raise PairingError(f"weighted layer {i}: parameters differ")
+def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
+            eps: float, phi: list | None) -> ErrorReport:
+    """Compare every IF stage's ``phi`` (simulated here when not given) with
+    the quantized activation it replaces; the next stage sees ``phi`` (Type I)
+    or that activation (Type II)."""
+    if phi is None:
+        phi = snn_simulate(snn, x, timesteps).phi
+    report = ErrorReport(error_type=error_type)
+    prev = np.asarray(x, dtype=np.float64)
+    for i, stage in enumerate(snn.if_stages):
+        a = qcfs(stage.apply(prev), stage.theta, snn.quant_steps)
+        report.layers.append(_layer_stats(i, a, phi[i], stage.theta, eps))
+        prev = phi[i] if error_type == "I" else a
+    return report
 
 
-def error_type_I_distribution(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
-                              timesteps: int, eps: float = EPS_DEFAULT,
-                              phi: list | None = None) -> ErrorReport:
+def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
+                              eps: float = EPS_DEFAULT, phi: list | None = None) -> ErrorReport:
     """Per-layer distribution with forced equal inputs.
 
     For each stage, the layer's ANN output is recomputed from the spiking
     average of the previous stage (stage 0 sees the raw input), so every
     mismatch is generated inside that single stage.
     """
-    _check_pairing(ann, snn)
-    if phi is None:
-        phi = snn_simulate(snn, x, timesteps).phi
-    report = ErrorReport(error_type="I")
-    prev = np.asarray(x, dtype=np.float64)
-    for i, stage in enumerate(snn.if_stages):
-        y = stage.apply(prev)
-        a_forced = qcfs(y, stage.theta, snn.quant_steps)
-        report.layers.append(_layer_stats(i, a_forced, phi[i], stage.theta, eps))
-        prev = phi[i]
-    return report
+    return _report("I", snn, x, timesteps, eps, phi)
 
 
-def error_type_II_distribution(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
-                               timesteps: int, eps: float = EPS_DEFAULT,
-                               phi: list | None = None) -> ErrorReport:
+def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
+                               eps: float = EPS_DEFAULT, phi: list | None = None) -> ErrorReport:
     """Per-layer distribution against the ordinary ANN forward pass."""
-    _check_pairing(ann, snn)
-    if phi is None:
-        phi = snn_simulate(snn, x, timesteps).phi
-    _, record = ann_forward(ann, np.asarray(x, dtype=np.float64))
-    report = ErrorReport(error_type="II")
-    for i, (stage, a) in enumerate(zip(snn.if_stages, record.post)):
-        report.layers.append(_layer_stats(i, a, phi[i], stage.theta, eps))
-    return report
+    return _report("II", snn, x, timesteps, eps, phi)
 
 
 @dataclass
@@ -187,21 +165,16 @@ class SrpEffect:
                 for a, b in zip(self.after.layers, self.before.layers)]
 
 
-def srp_effect_report(ann: NetworkSpec, snn: SnnNetwork, x: np.ndarray,
-                      tau: int, timesteps: int, eps: float = EPS_DEFAULT,
-                      phi: list | None = None) -> SrpEffect:
+def srp_effect_report(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
+                      eps: float = EPS_DEFAULT, phi: list | None = None) -> SrpEffect:
     """Type II distributions without and with residual-potential masking.
 
     ``phi`` is the plain run's per-stage output, simulated here when not
     given.
     """
-    _check_pairing(ann, snn)
-    if phi is None:
-        phi = snn_simulate(snn, x, timesteps).phi
     masked = srp_inference(snn, x, tau, timesteps)
-    before = error_type_II_distribution(ann, snn, x, timesteps, eps, phi=phi)
-    after = error_type_II_distribution(ann, snn, x, timesteps, eps, phi=masked.phi)
-    return SrpEffect(before=before, after=after)
+    return SrpEffect(before=_report("II", snn, x, timesteps, eps, phi),
+                     after=_report("II", snn, x, timesteps, eps, masked.phi))
 
 
 # ---------------------------------------------------------------------------
@@ -312,11 +285,11 @@ class TheoremResult(Sequence):
             v_final=float(self.v_final[i]), clause=self.clause, passed=bool(self.passed[i]))
 
 
-def _closed_form(weights, counts, timesteps: int, theta: float, presyn_theta: float):
+def _closed_form(weights, counts, timesteps: int, theta: float):
     """Exact residual v(T) for every spike count, and the matched ANN grid index.
 
     Conservation gives v(T) = theta/2 + S - theta * count with
-    S = sum_i w_i * presyn_theta * k_i, whatever the spike timing, so one
+    S = sum_i w_i * k_i, whatever the spike timing, so one
     ``(T + 1,)`` table indexed by ``count`` serves every placement; and
     k_ann = clip(floor(S/theta + 1/2), 0, T).  Both are computed on the
     exact rationals of the float inputs: in floats, an exact v(T) of 0 can
@@ -325,8 +298,7 @@ def _closed_form(weights, counts, timesteps: int, theta: float, presyn_theta: fl
     ``(residual, k_ann)`` with ``residual`` a list of ``Fraction``.
     """
     theta = Fraction(theta)
-    charge = theta / 2 + sum(Fraction(w) * Fraction(presyn_theta) * k
-                             for w, k in zip(weights, counts))
+    charge = theta / 2 + sum(Fraction(w) * k for w, k in zip(weights, counts))
     k_ann = min(max(math.floor(charge / theta), 0), timesteps)
     return [charge - theta * count for count in range(timesteps + 1)], k_ann
 
@@ -359,19 +331,18 @@ def _theorem_instance(weights, counts, timesteps: int):
     return weights, counts
 
 
-def _placement_currents(weights, timesteps: int, presyn_theta: float,
-                        placements: list) -> np.ndarray:
+def _placement_currents(weights, timesteps: int, placements: list) -> np.ndarray:
     """Postsynaptic current of every placement row, shaped ``(T, rows)``."""
     currents = np.zeros((len(placements[0][1]), timesteps))
     for w, (options, rows) in zip(weights, placements):
         train = np.zeros((len(options), timesteps))
         np.put_along_axis(train, options, 1.0, axis=1)
-        currents += w * presyn_theta * train[rows]
+        currents += w * train[rows]
     return currents.T
 
 
 def _check_placements(weights, counts, timesteps: int, theta: float,
-                      presyn_theta: float, placements: list) -> TheoremResult:
+                      placements: list) -> TheoremResult:
     """Simulate every placement row with :func:`if_scan` and judge it.
 
     The spike count comes from the simulation, the residual's sign from
@@ -382,15 +353,14 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
 
     ``placements`` is laid out as in :class:`TheoremResult`.
     """
-    count, v_final = if_scan(
-        _placement_currents(weights, timesteps, presyn_theta, placements), theta)
+    count, v_final = if_scan(_placement_currents(weights, timesteps, placements), theta)
     phi = theta * (count / timesteps)
-    residual, k_ann = _closed_form(weights, counts, timesteps, theta, presyn_theta)
+    residual, k_ann = _closed_form(weights, counts, timesteps, theta)
     a = theta * k_ann / timesteps
     negative = np.array([r < 0 for r in residual])[count]
     # rounding moves v_final by ~1e-16 of this scale; a lost or extra reset
     # moves it by theta
-    scale = theta * timesteps + presyn_theta * sum(abs(w) * k for w, k in zip(weights, counts))
+    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
     conserved = np.abs(v_final - np.array([float(r) for r in residual])[count]) <= 1e-9 * scale
     passed, clause = _judge(count, negative, k_ann)
     passed &= conserved
@@ -399,8 +369,7 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
                          v_final=v_final, passed=passed)
 
 
-def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
-                    presyn_theta: float = 1.0) -> TheoremResult:
+def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> TheoremResult:
     """Enumerate all spike-timing placements and check both clauses.
 
     ``weights`` is the fan-in weight vector (at most 3 presynaptic
@@ -426,12 +395,11 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0,
                .reshape(math.comb(timesteps, k), k) for k in counts]
     grids = np.meshgrid(*[np.arange(len(o)) for o in options], indexing="ij")
     placements = [(o, g.ravel()) for o, g in zip(options, grids)]
-    return _check_placements(weights, counts, timesteps, theta, presyn_theta, placements)
+    return _check_placements(weights, counts, timesteps, theta, placements)
 
 
 def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
-                    seed: int = 0, theta: float = 1.0,
-                    presyn_theta: float = 1.0) -> TheoremResult:
+                    seed: int = 0, theta: float = 1.0) -> TheoremResult:
     """Seeded random spike placements for instances beyond the enumeration cap.
 
     Applies the same residual-sign clauses as :func:`verify_theorem1` but
@@ -448,7 +416,7 @@ def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
         # the k smallest of iid uniforms form a uniform random k-subset
         order = np.argsort(rng.random((draws, timesteps)), axis=1)[:, :k]
         placements.append((np.sort(order, axis=1), np.arange(draws)))
-    return _check_placements(weights, counts, timesteps, theta, presyn_theta, placements)
+    return _check_placements(weights, counts, timesteps, theta, placements)
 
 
 def theorem_failures(result: TheoremResult) -> list:
@@ -456,10 +424,9 @@ def theorem_failures(result: TheoremResult) -> list:
     return [result[i] for i in np.flatnonzero(~result.passed)]
 
 
-def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0,
-                         max_presyn: int = MAX_PRESYN,
-                         weight_scale: float = 2.0):
-    """Randomized weight/count draws, each checked exhaustively.
+def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
+    """Random draws of 1..MAX_PRESYN weights in [-2, 2] and spike counts
+    in [0, T], each checked exhaustively.
 
     Returns ``(n_instances, failures)`` aggregated over all draws; used by
     the CLI and the acceptance gate.
@@ -469,8 +436,8 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0,
     failures = []
     for timesteps in timesteps_list:
         for _ in range(draws):
-            n = int(rng.integers(1, max_presyn + 1))
-            weights = rng.uniform(-weight_scale, weight_scale, size=n)
+            n = int(rng.integers(1, MAX_PRESYN + 1))
+            weights = rng.uniform(-2.0, 2.0, size=n)
             counts = rng.integers(0, timesteps + 1, size=n)
             result = verify_theorem1(weights, timesteps, counts)
             total += len(result)

@@ -22,8 +22,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError
-from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec
+from .errors import DataFormatError, ParameterError, ShapeError
+from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec, layer_output_shape
 
 MAGIC = b"SNNCONV1"
 FORMAT_VERSION = 1
@@ -100,7 +100,8 @@ def load_checkpoint(path):
 
     Raises :class:`DataFormatError` with the byte offset on any structural
     problem (bad magic, truncated header or payload, non-finite values), and
-    on header fields that are missing, mistyped or describe no valid network.
+    on header fields that are missing, mistyped or describe no valid network,
+    including layer shapes that do not chain from ``input_shape``.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -175,6 +176,9 @@ def load_checkpoint(path):
     try:
         net = NetworkSpec(layers, quant_steps, input_shape,
                           tuple(normalization) if normalization else None)
-    except ParameterError as exc:
+        shape = (1, *input_shape)
+        for layer in layers:
+            shape = layer_output_shape(layer, shape)
+    except (ParameterError, ShapeError) as exc:
         raise DataFormatError(f"checkpoint header describes no valid network: {exc}") from exc
     return net, header

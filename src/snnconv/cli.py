@@ -9,8 +9,8 @@ only in the option definitions.  Exit codes:
     0   success
     2   configuration problem (bad flags, bad config file, bad parameters)
     3   data problem (missing or malformed dataset / checkpoint bytes)
-    4   invariant violation (conversion or pairing mismatch, training
-        divergence, theorem counterexample)
+    4   invariant violation (conversion failure, training divergence,
+        theorem counterexample)
 """
 
 from __future__ import annotations
@@ -57,7 +57,6 @@ from .errors import (
     ConversionError,
     DataFormatError,
     DataValidationError,
-    PairingError,
     ParameterError,
     ShapeError,
     TrainingDivergenceError,
@@ -187,6 +186,15 @@ def _limited(handle: DatasetHandle, limit) -> DatasetHandle:
     return handle.subset(slice(0, limit)) if limit else handle
 
 
+def _load_model_and_data(args):
+    """``(net, snn, handle, x)`` for the commands that run a model on a split."""
+    _require(args, "model", "data")
+    net, _ = load_checkpoint(args.model)
+    snn = convert(net)
+    handle = _limited(_load_dataset(args.data, args.split), args.limit)
+    return net, snn, handle, _model_inputs(net, handle)
+
+
 def cmd_make_data(args) -> int:
     _require(args, "out")
     train_set = synthetic_digits(args.train_count, seed=args.seed, noise=args.noise)
@@ -274,15 +282,10 @@ def load_metrics_csv(path) -> list:
 
 
 def cmd_eval(args) -> int:
-    _require(args, "model", "data")
-    net, _ = load_checkpoint(args.model)
-    snn = convert(net)
-    handle = _limited(_load_dataset(args.data, args.split), args.limit)
-    x = _model_inputs(net, handle)
+    net, snn, handle, x = _load_model_and_data(args)
     labels = handle.labels
-
-    logits, _ = ann_forward(net, x)
-    acc_ann = _scores_accuracy(logits, labels)
+    # Only the logits are kept: the forward's record holds every layer's input.
+    acc_ann = _scores_accuracy(ann_forward(net, x)[0], labels)
 
     # One run at the largest T gives every shorter T as a prefix, which is
     # bit-identical to a separate run.  Even timing's closed form depends
@@ -323,20 +326,16 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    _require(args, "model", "data")
     timesteps = args.timesteps[0]
-    net, _ = load_checkpoint(args.model)
-    snn = convert(net)
-    handle = _limited(_load_dataset(args.data, args.split), args.limit)
-    x = _model_inputs(net, handle)
+    _, snn, _, x = _load_model_and_data(args)
 
     # The plain run is shared by every report.
     phi = snn_simulate(snn, x, timesteps).phi
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
-        "type_I": error_type_I_distribution(net, snn, x, timesteps, phi=phi),
-        "type_II": error_type_II_distribution(net, snn, x, timesteps, phi=phi),
+        "type_I": error_type_I_distribution(snn, x, timesteps, phi=phi),
+        "type_II": error_type_II_distribution(snn, x, timesteps, phi=phi),
     }
     for name, report in reports.items():
         csv_path = out_dir / f"{name}.csv"
@@ -347,7 +346,7 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(net, snn, x, args.tau, timesteps, phi=phi)
+        effect = srp_effect_report(snn, x, args.tau, timesteps, phi=phi)
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {
@@ -488,7 +487,7 @@ def main(argv=None) -> int:
     except (DataFormatError, DataValidationError, FileNotFoundError, IsADirectoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
-    except (ConversionError, PairingError, TrainingDivergenceError) as exc:
+    except (ConversionError, TrainingDivergenceError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_INVARIANT
 

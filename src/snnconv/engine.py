@@ -147,7 +147,6 @@ class SimResult:
     prefix_scores: np.ndarray
     phi: list
     v_final: list
-    spikes: list | None = None
     masks: list | None = None
 
 
@@ -191,7 +190,7 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
 
 
 def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = None,
-         record_spikes: bool = False, trace: TraceRecorder | None = None) -> SimResult:
+         trace: TraceRecorder | None = None) -> SimResult:
     """Time loop shared by plain simulation and both SRP stages.
 
     Every stage starts at ``theta/2``.  With ``masks``, each stage's
@@ -202,7 +201,6 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
     # step by broadcasting, so no shape probe is needed.
     v = [0.5 * stage.theta for stage in snn.if_stages]
     counts = [0] * len(v)
-    spikes = [None] * len(v) if record_spikes else None
     # Under direct coding stage 0's input current is the same at every step.
     current0 = snn.stages[0].apply(x)
     score_sum = prefix_scores = None
@@ -218,10 +216,6 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
             counts[i] += s
             if trace is not None:
                 trace.record(i, t + 1, u, s, v[i])
-            if record_spikes:
-                if t == 0:
-                    spikes[i] = np.zeros((timesteps, *s.shape))
-                spikes[i][t] = s
             current = snn.stages[i + 1].apply(stage.theta * s)
         if t == 0:
             score_sum = current
@@ -230,26 +224,22 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
             score_sum = score_sum + current
         prefix_scores[t] = score_sum / (t + 1)
     phi = [stage.theta * (c / timesteps) for stage, c in zip(snn.if_stages, counts)]
-    if record_spikes:
-        spikes = [np.moveaxis(sp, 0, -1) for sp in spikes]  # (..., T) per stage
     return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=phi,
-                     v_final=v, spikes=spikes, masks=masks)
+                     v_final=v, masks=masks)
 
 
 def snn_simulate(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                 record_spikes: bool = False, trace: TraceRecorder | None = None) -> SimResult:
+                 trace: TraceRecorder | None = None) -> SimResult:
     """Simulate with direct coding for the given number of steps.
 
     One run at ``timesteps`` also gives every shorter run's scores, in
-    ``prefix_scores``.  ``record_spikes`` keeps float64 spike trains of
-    ``timesteps`` times the network's neuron count per sample.
+    ``prefix_scores``.  ``trace`` records every step's potentials and spikes.
     """
     x = _checked_input(snn, x, timesteps=timesteps)
-    return _run(snn, x, timesteps, record_spikes=record_spikes, trace=trace)
+    return _run(snn, x, timesteps, trace=trace)
 
 
-def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
-                  record_spikes: bool = False) -> SimResult:
+def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int) -> SimResult:
     """Two-stage inference with residual-potential masking.
 
     Stage 1 runs ``tau`` plain steps on the sample; neurons whose residual
@@ -261,7 +251,7 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
     """
     x = _checked_input(snn, x, tau=tau, timesteps=timesteps)
     masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]
-    return _run(snn, x, timesteps, masks=masks, record_spikes=record_spikes)
+    return _run(snn, x, timesteps, masks=masks)
 
 
 # ---------------------------------------------------------------------------

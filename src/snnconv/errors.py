@@ -21,10 +21,6 @@ class ConversionError(SnnConvError):
     """ANN cannot be converted (e.g. no classifier stage after the last activation)."""
 
 
-class PairingError(SnnConvError):
-    """An ANN/SNN pair passed to the error analysis does not share parameters."""
-
-
 class DataFormatError(SnnConvError):
     """Malformed dataset or checkpoint bytes; message carries offset/line info."""
 

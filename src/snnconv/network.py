@@ -13,6 +13,7 @@ all forward functions.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass, field, replace
 from functools import reduce
 
@@ -128,10 +129,8 @@ class NetworkSpec:
 
 def dense_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    w = params.weights
-    if x.ndim != 2 or x.shape[1] != w.shape[1]:
-        raise ShapeError(f"dense expects (N, {w.shape[1]}), got {x.shape}")
-    out = x @ w.T
+    layer_output_shape(params, x.shape)
+    out = x @ params.weights.T
     if params.bias is not None:
         out = out + params.bias
     return out
@@ -144,8 +143,10 @@ def dense_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray):
     return grad_x, grad_w, grad_b
 
 
-def _conv_geometry(params: LayerParams, x: np.ndarray):
-    n, c, h, w = x.shape
+def _conv_geometry(params: LayerParams, shape: tuple):
+    if len(shape) != 4:
+        raise ShapeError(f"conv2d expects NCHW input, got shape {shape}")
+    n, c, h, w = shape
     oc, ic, kh, kw = params.weights.shape
     if c != ic:
         raise ShapeError(f"conv2d expects {ic} input channels, got {c}")
@@ -168,9 +169,7 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> n
 
 def conv2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"conv2d expects NCHW input, got shape {x.shape}")
-    oc, kh, kw, oh, ow = _conv_geometry(params, x)
+    oc, kh, kw, oh, ow = _conv_geometry(params, x.shape)
     if params.padding:
         p = params.padding
         x = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p)))
@@ -182,7 +181,7 @@ def conv2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
 
 
 def conv2d_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray):
-    oc, kh, kw, oh, ow = _conv_geometry(params, x)
+    oc, kh, kw, oh, ow = _conv_geometry(params, x.shape)
     n = x.shape[0]
     p = params.padding
     xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
@@ -213,12 +212,8 @@ def avgpool2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     differ.
     """
     x = np.asarray(x, dtype=np.float64)
-    if x.ndim != 4:
-        raise ShapeError(f"avgpool2d expects NCHW input, got shape {x.shape}")
-    h, w = x.shape[2:]
+    layer_output_shape(params, x.shape)
     k = params.pool
-    if h % k or w % k:
-        raise ShapeError(f"avgpool2d window {k} does not tile input {h}x{w}")
     rows = [reduce(np.add, (x[:, :, i::k, j::k] for j in range(k))) for i in range(k)]
     return reduce(np.add, rows) / (k * k)
 
@@ -255,6 +250,28 @@ _BACKWARD = {
 def layer_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     """Apply one layer's linear/affine map (no activation)."""
     return _FORWARD[params.kind](params, x)
+
+
+def layer_output_shape(params: LayerParams, shape: tuple) -> tuple:
+    """Shape of ``layer_forward(params, x)`` for ``x`` of ``shape``, found
+    without allocating.  Raises the :class:`ShapeError` the kernel would."""
+    if params.kind == "flatten":
+        return shape[0], math.prod(shape[1:])
+    if params.kind == "dense":
+        w = params.weights
+        if len(shape) != 2 or shape[1] != w.shape[1]:
+            raise ShapeError(f"dense expects (N, {w.shape[1]}), got {shape}")
+        return shape[0], w.shape[0]
+    if params.kind == "conv2d":
+        oc, _, _, oh, ow = _conv_geometry(params, shape)
+        return shape[0], oc, oh, ow
+    if len(shape) != 4:
+        raise ShapeError(f"avgpool2d expects NCHW input, got shape {shape}")
+    n, c, h, w = shape
+    k = params.pool
+    if h % k or w % k:
+        raise ShapeError(f"avgpool2d window {k} does not tile input {h}x{w}")
+    return n, c, h // k, w // k
 
 
 def layer_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray):

@@ -28,7 +28,6 @@ class TrainConfig:
     weight_decay: float = 5e-4
     epochs: int = 30
     batch_size: int = 64
-    schedule: str = "cosine"
 
     def __post_init__(self):
         if self.learning_rate <= 0:
@@ -41,8 +40,6 @@ class TrainConfig:
             raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
         if self.batch_size < 1:
             raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
-        if self.schedule != "cosine":
-            raise ParameterError(f"unknown schedule {self.schedule!r}")
 
 
 def cosine_lr(config: TrainConfig, epoch: int) -> float:

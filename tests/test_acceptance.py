@@ -56,7 +56,7 @@ def test_criterion_1_conservation():
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (2, net.input_shape[0]))
         for timesteps in (1, 2, 4, 8):
-            res = snn_simulate(snn, x, timesteps, record_spikes=False)
+            res = snn_simulate(snn, x, timesteps)
             prev = x
             for i, stage in enumerate(snn.if_stages):
                 y = stage.apply(prev)
@@ -117,7 +117,7 @@ def test_criterion_4_masking_law():
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (3, net.input_shape[0]))
-        probe = snn_simulate(snn, x, 4, record_spikes=False)  # independent stage-1 run
+        probe = snn_simulate(snn, x, 4)  # independent stage-1 run
         res = srp_inference(snn, x, tau=4, timesteps=6)
         for v_tau, phi in zip(probe.v_final, res.phi):
             dead = v_tau < 0.0
@@ -130,7 +130,7 @@ def test_criterion_4_masking_law():
         snn = convert(net)
         x = rng.uniform(0, 1, (3, net.input_shape[0]))
         masked = srp_inference(snn, x, tau=5, timesteps=5)
-        plain = snn_simulate(snn, x, 5, record_spikes=False)
+        plain = snn_simulate(snn, x, 5)
         exact = exact and np.array_equal(masked.scores, plain.scores)
         exact = exact and all(np.array_equal(a, b)
                               for a, b in zip(masked.phi, plain.phi))
@@ -151,8 +151,7 @@ def test_criterion_5_desk_scale_benefit():
 
     base, masked = {}, {}
     for timesteps in (1, 2, 4, 8):
-        base[timesteps] = acc_of(snn_simulate(snn, x, timesteps,
-                                              record_spikes=False).scores)
+        base[timesteps] = acc_of(snn_simulate(snn, x, timesteps).scores)
         masked[timesteps] = acc_of(srp_inference(snn, x, 4, timesteps).scores)
     elapsed = time.perf_counter() - start
 
@@ -168,20 +167,20 @@ def test_criterion_5_desk_scale_benefit():
 
 
 def test_criterion_6_report_soundness(frozen_mlp):
-    net, snn = frozen_mlp["net"], frozen_mlp["snn"]
+    snn = frozen_mlp["snn"]
     x = frozen_mlp["x_test"][:256]
     sums_ok = True
     first_layer_ok = True
     case1_ok = True
     for timesteps in (1, 2, 4, 8):
-        one = error_type_I_distribution(net, snn, x, timesteps)
-        two = error_type_II_distribution(net, snn, x, timesteps)
+        one = error_type_I_distribution(snn, x, timesteps)
+        two = error_type_II_distribution(snn, x, timesteps)
         for report in (one, two):
             for stats in report.layers:
                 sums_ok = sums_ok and abs(sum(stats.fractions.values()) - 1.0) <= 1e-9
         first_layer_ok = (first_layer_ok
                           and one.layers[0].fractions == two.layers[0].fractions)
-        effect = srp_effect_report(net, snn, x, tau=4, timesteps=timesteps)
+        effect = srp_effect_report(snn, x, tau=4, timesteps=timesteps)
         for delta in effect.case_delta(UnevennessCase.CASE1):
             case1_ok = case1_ok and delta <= 1e-12
     _report(6, "fractions sum to 1 (1e-9), first-layer reports identical, "

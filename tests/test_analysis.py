@@ -30,7 +30,8 @@ from snnconv.analysis import (
     write_report_json,
 )
 from snnconv.engine import convert, snn_simulate
-from snnconv.errors import PairingError, ParameterError
+from snnconv.errors import ParameterError
+from snnconv.network import ann_forward
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
 
@@ -94,15 +95,15 @@ class TestDistributions:
             net = random_dense_net(rng, 4)
             snn = convert(net)
             x = rng.uniform(0, 1, (6, net.input_shape[0]))
-            report = error_type_I_distribution(net, snn, x, timesteps=4)
+            report = error_type_I_distribution(snn, x, timesteps=4)
             assert report.layers[0].fraction(C.NO_ERROR) == 1.0
 
     def test_first_layer_same_for_both_types(self, rng):
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (6, net.input_shape[0]))
-        one = error_type_I_distribution(net, snn, x, timesteps=4)
-        two = error_type_II_distribution(net, snn, x, timesteps=4)
+        one = error_type_I_distribution(snn, x, timesteps=4)
+        two = error_type_II_distribution(snn, x, timesteps=4)
         assert one.layers[0].fractions == two.layers[0].fractions
         assert one.error_type == "I" and two.error_type == "II"
 
@@ -111,14 +112,14 @@ class TestDistributions:
         snn = convert(net)
         x = rng.uniform(-0.2, 1.0, (10, net.input_shape[0]))
         for maker in (error_type_I_distribution, error_type_II_distribution):
-            report = maker(net, snn, x, timesteps=6)
+            report = maker(snn, x, timesteps=6)
             for stats in report.layers:
                 assert sum(stats.fractions.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_timing_fixture_shows_both_mid_cases(self):
         net, x = timing_fixture_net()
         snn = convert(net)
-        report = error_type_I_distribution(net, snn, x, timesteps=4)
+        report = error_type_I_distribution(snn, x, timesteps=4)
         mid = report.layers[1]
         assert mid.fraction(C.CASE2) == 0.5
         assert mid.fraction(C.CASE3) == 0.5
@@ -129,15 +130,14 @@ class TestDistributions:
         for layer in net.layers:
             layer.bias[:] = 0.0
         snn = convert(net)
-        report = error_type_II_distribution(net, snn, np.zeros((3, net.input_shape[0])), 5)
+        report = error_type_II_distribution(snn, np.zeros((3, net.input_shape[0])), 5)
         for stats in report.layers:
             assert stats.fraction(C.NO_ERROR) == 1.0
             assert stats.max_abs_err == 0.0
 
     def test_cnn_case1_dominates_errors(self, frozen_cnn):
         x = frozen_cnn["x_test"][:256]
-        report = error_type_I_distribution(frozen_cnn["net"], frozen_cnn["snn"],
-                                           x, timesteps=4)
+        report = error_type_I_distribution(frozen_cnn["snn"], x, timesteps=4)
         wins = 0
         for stats in report.layers:
             errs = {c: stats.fraction(c) for c in (C.CASE1, C.CASE2, C.CASE3, C.CASE4)}
@@ -145,26 +145,35 @@ class TestDistributions:
                 wins += 1
         assert wins > len(report.layers) / 2
 
-    def test_pairing_rejects_mutated_threshold(self, rng):
-        net = random_dense_net(rng, 4)
-        snn = convert(net.copy())
-        net.layers[0].lam *= 2.0
-        with pytest.raises(PairingError):
-            error_type_I_distribution(net, snn, np.zeros((1, net.input_shape[0])), 4)
+    @pytest.mark.parametrize("bundle,count", [("frozen_mlp", 256), ("frozen_cnn", 64)])
+    def test_type_II_levels_are_the_ann_forward(self, request, bundle, count):
+        # Fed the ANN's own activations as phi, the levels the report computes
+        # from the converted network must match them bit for bit.
+        frozen = request.getfixturevalue(bundle)
+        x = frozen["x_test"][:count]
+        post = ann_forward(frozen["net"], x)[1].post
+        report = error_type_II_distribution(frozen["snn"], x, 4, phi=post)
+        assert len(report.layers) == len(post)
+        for stats in report.layers:
+            assert stats.fraction(C.NO_ERROR) == 1.0
+            assert stats.max_abs_err == 0.0
 
-    def test_pairing_rejects_mutated_weights(self, rng):
-        net = random_dense_net(rng, 4)
-        twin = net.copy()
-        snn = convert(twin)
-        twin.layers[0].weights += 1.0
-        with pytest.raises(PairingError):
-            error_type_II_distribution(net, snn, np.zeros((1, net.input_shape[0])), 4)
-
-    def test_pairing_rejects_different_depth(self, rng):
-        net = random_dense_net(rng, 4, sizes=[3, 4, 5, 2])
-        other = random_dense_net(rng, 4, sizes=[3, 4, 2])
-        with pytest.raises(PairingError):
-            error_type_I_distribution(net, convert(other), np.zeros((1, 3)), 4)
+    def test_type_II_against_ann_forward_of_simulated_phi(self, rng):
+        # Type II's layer i compares phi[i] with the ANN forward's own
+        # activation, not with a level recomputed from phi[i - 1] (Type I).
+        net = random_dense_net(rng, 4, sizes=[6, 8, 8, 8, 3])
+        snn = convert(net)
+        x = rng.uniform(-0.5, 1.0, (40, 6))
+        phi = snn_simulate(snn, x, 3).phi
+        report = error_type_II_distribution(snn, x, 3, phi=phi)
+        post = ann_forward(net, x)[1].post
+        for stats, a, p, stage in zip(report.layers, post, phi, snn.if_stages):
+            codes = classify_cases(a, p, stage.theta)
+            assert stats.fractions == {c.value: float(np.count_nonzero(codes == i) / codes.size)
+                                       for i, c in enumerate(ALL_CASES)}
+            assert stats.max_abs_err == float(np.abs(p - a).max())
+        assert report.layers[-1].fractions != error_type_I_distribution(
+            snn, x, 3, phi=phi).layers[-1].fractions
 
 
 class TestSrpEffect:
@@ -172,14 +181,14 @@ class TestSrpEffect:
         net = positive_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (5, net.input_shape[0]))
-        effect = srp_effect_report(net, snn, x, tau=4, timesteps=4)
+        effect = srp_effect_report(snn, x, tau=4, timesteps=4)
         for b, a in zip(effect.before.layers, effect.after.layers):
             assert b.fractions == a.fractions
 
     def test_case1_fixture_repaired(self):
         net, x = case1_repair_net()
         snn = convert(net)
-        effect = srp_effect_report(net, snn, x, tau=2, timesteps=2)
+        effect = srp_effect_report(snn, x, tau=2, timesteps=2)
         assert effect.before.layers[1].fraction(C.CASE1) == 1.0
         assert effect.after.layers[1].fraction(C.NO_ERROR) == 1.0
         assert effect.case_delta(C.CASE1) == [0.0, -1.0]
@@ -189,15 +198,14 @@ class TestSrpEffect:
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
         phi = snn_simulate(snn, x, 4).phi
-        shared = srp_effect_report(net, snn, x, tau=3, timesteps=4, phi=phi)
-        own = srp_effect_report(net, snn, x, tau=3, timesteps=4)
+        shared = srp_effect_report(snn, x, tau=3, timesteps=4, phi=phi)
+        own = srp_effect_report(snn, x, tau=3, timesteps=4)
         assert report_summary(shared.before) == report_summary(own.before)
         assert report_summary(shared.after) == report_summary(own.after)
 
     def test_desk_scale_case1_not_worse(self, frozen_mlp):
         x = frozen_mlp["x_test"][:256]
-        effect = srp_effect_report(frozen_mlp["net"], frozen_mlp["snn"], x,
-                                   tau=4, timesteps=4)
+        effect = srp_effect_report(frozen_mlp["snn"], x, tau=4, timesteps=4)
         deltas = effect.case_delta(C.CASE1)
         assert all(d <= 1e-12 for d in deltas)
 
@@ -444,7 +452,7 @@ def _sweep_draws(draws, timesteps_list, seed):
 class TestEmission:
     def build_report(self):
         net, x = case1_repair_net()
-        return error_type_II_distribution(net, convert(net), x, timesteps=2)
+        return error_type_II_distribution(convert(net), x, timesteps=2)
 
     def test_rows_and_csv(self, tmp_path):
         report = self.build_report()

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 
 from snnconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
+from snnconv.cli import EXIT_DATA, main
+from snnconv.datasets import materialize_idx, synthetic_digits
 from snnconv.engine import convert
 from snnconv.errors import DataFormatError
 from snnconv.network import cnn_preset
@@ -210,3 +212,35 @@ def test_malformed_header_is_data_format_error(tmp_path, header):
     path.write_bytes(MAGIC + struct.pack("<I", len(blob)) + blob + payload.tobytes())
     with pytest.raises(DataFormatError):
         load_checkpoint(path)
+
+
+@pytest.fixture(scope="module")
+def cnn_files(tmp_path_factory):
+    """A small CNN checkpoint (every layer kind) and a test split for ``eval``."""
+    root = tmp_path_factory.mktemp("chain")
+    net = cnn_preset(4, channels=(2, 2), hidden=4)
+    init_network(net, seed=0)
+    save_checkpoint(net, root / "model.ckpt")
+    materialize_idx(synthetic_digits(8, seed=0), root / "data", "test")
+    return root
+
+
+@pytest.mark.parametrize("layer,key,value", [
+    pytest.param(0, "padding", 1_000_000_000, id="padding-1e9"),
+    pytest.param(0, "padding", 2, id="padding-2"),
+    pytest.param(1, "pool", 7, id="pool-7"),
+    pytest.param(None, "input_shape", [3, 28, 28], id="input-channels"),
+])
+def test_layer_shapes_must_chain(cnn_files, tmp_path, layer, key, value):
+    blob = (cnn_files / "model.ckpt").read_bytes()
+    (length,) = struct.unpack_from("<I", blob, len(MAGIC))
+    start = len(MAGIC) + 4
+    header = json.loads(blob[start:start + length])
+    (header if layer is None else header["layers"][layer])[key] = value
+    edited = json.dumps(header).encode()
+    path = tmp_path / "edited.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(edited)) + edited + blob[start + length:])
+    with pytest.raises(DataFormatError, match="no valid network"):
+        load_checkpoint(path)
+    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
+                 "--out", str(tmp_path / "metrics.csv")]) == EXIT_DATA

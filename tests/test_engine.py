@@ -198,11 +198,13 @@ class TestSimulate:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (2, net.input_shape[0]))
-        res = snn_simulate(snn, x, 5, record_spikes=True)
-        for phi, spk, stage in zip(res.phi, res.spikes, snn.if_stages):
-            assert spk.shape[-1] == 5
+        trace = TraceRecorder()
+        res = snn_simulate(snn, x, 5, trace=trace)
+        for i, (phi, stage) in enumerate(zip(res.phi, snn.if_stages)):
+            spk = np.array([s for st, _, _, s, _ in trace.steps if st == i])
+            assert spk.shape == (5, phi.size)
             assert set(np.unique(spk)) <= {0.0, 1.0}
-            assert np.allclose(stage.theta * spk.mean(axis=-1), phi)
+            assert np.allclose(stage.theta * spk.mean(axis=0), phi.ravel())
 
     def test_input_validation(self, rng):
         snn = convert(random_dense_net(rng, 4, sizes=[3, 4, 2]))
@@ -221,11 +223,6 @@ class TestSimulate:
                     lambda: snn_forced_phi(snn, x, 4)):
             with pytest.raises(DataValidationError):
                 run()
-
-    def test_spikes_not_recorded_by_default(self, rng):
-        snn = convert(random_dense_net(rng, 4))
-        x = rng.uniform(0, 1, (2, snn.input_shape[0]))
-        assert snn_simulate(snn, x, 5).spikes is None
 
     def test_readout_only_network(self, rng):
         # no IF stage: every step's readout is the classifier on the input

@@ -11,10 +11,13 @@ import struct
 import string
 import tempfile
 
+import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from snnconv import SnnConvError, cnn_preset, init_network, load_checkpoint, save_checkpoint
+from snnconv import (
+    SnnConvError, ann_forward, cnn_preset, init_network, load_checkpoint, save_checkpoint,
+)
 from snnconv.checkpoint import MAGIC
 from snnconv.cli import EXIT_CONFIG, EXIT_DATA, EXIT_OK, main
 from snnconv.datasets import materialize_idx, synthetic_digits
@@ -64,15 +67,17 @@ def _assemble(header_bytes, payload, length=None):
 
 
 def _load_bytes(workspace, blob):
-    """Load ``blob`` as a checkpoint; anything but a typed error fails the test."""
+    """Load ``blob`` as a checkpoint; anything but a typed error fails the test,
+    and a network that loads must run forward on one zero sample."""
     with tempfile.TemporaryDirectory(dir=workspace) as tmp:
         path = os.path.join(tmp, "m.ckpt")
         with open(path, "wb") as fh:
             fh.write(blob)
         try:
-            load_checkpoint(path)
+            net, _ = load_checkpoint(path)
         except SnnConvError:
-            pass
+            return
+    ann_forward(net, np.zeros((1, *net.input_shape)))
 
 
 def test_truncation_at_every_byte(workspace, tmp_path):

@@ -87,7 +87,6 @@ class TestConfigValidation:
         dict(weight_decay=-1e-4),
         dict(epochs=-1),
         dict(batch_size=0),
-        dict(schedule="step"),
     ])
     def test_rejects(self, kw):
         with pytest.raises(ParameterError):

@@ -15,7 +15,7 @@ Typical flow::
     masked = srp_inference(snn, x, tau=4, timesteps=8)
 """
 
-from .activation import QcfsActivation, qcfs, qcfs_backward
+from .activation import qcfs, qcfs_backward
 from .analysis import (
     ErrorReport,
     LayerErrorStats,
@@ -23,7 +23,6 @@ from .analysis import (
     TheoremResult,
     TheoremVerdict,
     UnevennessCase,
-    classify_case,
     classify_cases,
     error_type_I_distribution,
     error_type_II_distribution,
@@ -48,7 +47,6 @@ from .engine import (
     Stage,
     TraceRecorder,
     constant_current_phi,
-    conversion_report,
     convert,
     even_timing_phi,
     if_scan,
@@ -87,9 +85,9 @@ from .training import (
 __version__ = "0.1.0"
 
 __all__ = [
-    "QcfsActivation", "qcfs", "qcfs_backward",
+    "qcfs", "qcfs_backward",
     "ErrorReport", "LayerErrorStats", "SrpEffect", "TheoremResult", "TheoremVerdict",
-    "UnevennessCase", "classify_case", "classify_cases",
+    "UnevennessCase", "classify_cases",
     "error_type_I_distribution", "error_type_II_distribution",
     "random_theorem_sweep", "sample_theorem1", "srp_effect_report", "theorem_failures",
     "verify_theorem1",
@@ -97,7 +95,7 @@ __all__ = [
     "DatasetHandle", "load_csv_dataset", "load_idx_pair",
     "standardization_stats", "standardize", "synthetic_digits",
     "SimResult", "SnnNetwork", "Stage", "TraceRecorder",
-    "constant_current_phi", "conversion_report", "convert",
+    "constant_current_phi", "convert",
     "even_timing_phi", "if_scan", "if_step", "snn_forced_phi", "snn_simulate",
     "srp_inference",
     "ConversionError", "DataFormatError", "DataValidationError",

@@ -16,8 +16,6 @@ the surrogate's derivative everywhere off the quantization boundaries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from .errors import ParameterError
@@ -59,21 +57,3 @@ def qcfs_backward(y, lam: float, steps: int, upstream):
     grad_lam = float(np.sum(upstream * (out_over_lam - (y / lam) * gate)))
     return grad_y, grad_lam
 
-
-@dataclass(frozen=True)
-class QcfsActivation:
-    """Activation parameters: quantization step count and threshold."""
-
-    steps: int
-    threshold: float
-
-    def __post_init__(self):
-        _check_params(self.threshold, self.steps)
-
-    def __call__(self, y):
-        return qcfs(y, self.threshold, self.steps)
-
-    @property
-    def levels(self) -> np.ndarray:
-        """The full output grid {0, threshold/steps, ..., threshold}."""
-        return self.threshold * np.arange(self.steps + 1) / self.steps

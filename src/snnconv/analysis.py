@@ -56,21 +56,17 @@ class UnevennessCase(Enum):
 ALL_CASES = list(UnevennessCase)
 
 
-def classify_case(a: float, phi: float, lam: float, eps: float = EPS_DEFAULT) -> UnevennessCase:
-    """Classify a single (ANN output, spiking output) pair.
+def classify_cases(a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+    """Classify (ANN output, spiking output) pairs elementwise; returns
+    integer codes indexing ALL_CASES.
 
-    Comparisons are under the absolute tolerance ``eps``; both outputs live
-    on grids with spacing >= lam/steps, so genuine mismatches always clear
-    it.  Raises for ``a`` outside [0, lam] beyond tolerance.
+    Comparisons are under the absolute tolerance ``EPS_DEFAULT``; both
+    outputs live on grids with spacing >= lam/steps, so genuine mismatches
+    always clear it.  Raises for ``a`` outside [0, lam] beyond tolerance.
     """
-    return ALL_CASES[int(classify_cases(a, phi, lam, eps))]
-
-
-def classify_cases(a: np.ndarray, phi: np.ndarray, lam: float,
-                   eps: float = EPS_DEFAULT) -> np.ndarray:
-    """Vectorized version; returns integer codes indexing ALL_CASES."""
     if lam <= 0:
         raise ParameterError(f"lam must be positive, got {lam}")
+    eps = EPS_DEFAULT
     a = np.asarray(a, dtype=np.float64)
     phi = np.asarray(phi, dtype=np.float64)
     if np.any(a < -eps) or np.any(a > lam + eps):
@@ -110,9 +106,8 @@ class ErrorReport:
     layers: list = field(default_factory=list)
 
 
-def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float,
-                 eps: float) -> LayerErrorStats:
-    codes = classify_cases(a, phi, lam, eps)
+def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float) -> LayerErrorStats:
+    codes = classify_cases(a, phi, lam)
     total = codes.size
     fractions = {case.value: float(np.count_nonzero(codes == i) / total)
                  for i, case in enumerate(ALL_CASES)}
@@ -122,7 +117,7 @@ def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float,
 
 
 def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
-            eps: float, phi: list | None) -> ErrorReport:
+            phi: list | None) -> ErrorReport:
     """Compare every IF stage's ``phi`` (simulated here when not given) with
     the quantized activation it replaces; the next stage sees ``phi`` (Type I)
     or that activation (Type II)."""
@@ -132,26 +127,26 @@ def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
     prev = np.asarray(x, dtype=np.float64)
     for i, stage in enumerate(snn.if_stages):
         a = qcfs(stage.apply(prev), stage.theta, snn.quant_steps)
-        report.layers.append(_layer_stats(i, a, phi[i], stage.theta, eps))
+        report.layers.append(_layer_stats(i, a, phi[i], stage.theta))
         prev = phi[i] if error_type == "I" else a
     return report
 
 
 def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                              eps: float = EPS_DEFAULT, phi: list | None = None) -> ErrorReport:
+                              phi: list | None = None) -> ErrorReport:
     """Per-layer distribution with forced equal inputs.
 
     For each stage, the layer's ANN output is recomputed from the spiking
     average of the previous stage (stage 0 sees the raw input), so every
     mismatch is generated inside that single stage.
     """
-    return _report("I", snn, x, timesteps, eps, phi)
+    return _report("I", snn, x, timesteps, phi)
 
 
 def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                               eps: float = EPS_DEFAULT, phi: list | None = None) -> ErrorReport:
+                               phi: list | None = None) -> ErrorReport:
     """Per-layer distribution against the ordinary ANN forward pass."""
-    return _report("II", snn, x, timesteps, eps, phi)
+    return _report("II", snn, x, timesteps, phi)
 
 
 @dataclass
@@ -166,15 +161,16 @@ class SrpEffect:
 
 
 def srp_effect_report(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
-                      eps: float = EPS_DEFAULT, phi: list | None = None) -> SrpEffect:
+                      before: ErrorReport | None = None) -> SrpEffect:
     """Type II distributions without and with residual-potential masking.
 
-    ``phi`` is the plain run's per-stage output, simulated here when not
+    ``before`` is the plain run's Type II report, computed here when not
     given.
     """
     masked = srp_inference(snn, x, tau, timesteps)
-    return SrpEffect(before=_report("II", snn, x, timesteps, eps, phi),
-                     after=_report("II", snn, x, timesteps, eps, masked.phi))
+    if before is None:
+        before = _report("II", snn, x, timesteps, None)
+    return SrpEffect(before=before, after=_report("II", snn, x, timesteps, masked.phi))
 
 
 # ---------------------------------------------------------------------------

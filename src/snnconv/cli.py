@@ -16,8 +16,6 @@ only in the option definitions.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import csv
-import dataclasses
 import json
 import sys
 from pathlib import Path
@@ -47,7 +45,6 @@ from .datasets import (
 )
 from .engine import (
     TraceRecorder,
-    conversion_report,
     convert,
     snn_forced_phi,
     snn_simulate,
@@ -250,7 +247,8 @@ def cmd_convert(args) -> int:
     if args.report:
         _ensure_parent(args.report)
         with open(args.report, "w") as fh:
-            json.dump(dataclasses.asdict(conversion_report(snn)), fh, indent=2, sort_keys=True)
+            json.dump({"thetas": snn.thetas, "v_init": [0.5 * t for t in snn.thetas]},
+                      fh, indent=2, sort_keys=True)
         print(f"wrote {args.report}")
     return EXIT_OK
 
@@ -262,23 +260,6 @@ def _write_metrics(path, rows) -> None:
         for timesteps, acc_ann, acc_snn, acc_srp in rows:
             srp_field = "" if acc_srp is None else f"{acc_srp:.6f}"
             fh.write(f"{timesteps},{acc_ann:.6f},{acc_snn:.6f},{srp_field}\n")
-
-
-def load_metrics_csv(path) -> list:
-    """Round-trip reader for the eval CSV; empty SRP cells become None."""
-    rows = []
-    with open(path, newline="") as fh:
-        reader = csv.DictReader(fh)
-        if reader.fieldnames != ["T", "acc_ann", "acc_snn", "acc_srp"]:
-            raise DataFormatError(f"{path}: unexpected header {reader.fieldnames}")
-        for record in reader:
-            rows.append((
-                int(record["T"]),
-                float(record["acc_ann"]),
-                float(record["acc_snn"]),
-                float(record["acc_srp"]) if record["acc_srp"] else None,
-            ))
-    return rows
 
 
 def cmd_eval(args) -> int:
@@ -346,7 +327,7 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(snn, x, args.tau, timesteps, phi=phi)
+        effect = srp_effect_report(snn, x, args.tau, timesteps, before=reports["type_II"])
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {

@@ -26,6 +26,7 @@ from .errors import DataFormatError, DataValidationError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
+NUM_CLASSES = 10
 
 
 @dataclass
@@ -67,7 +68,7 @@ def load_idx_images(path) -> np.ndarray:
     return pixels.astype(np.float64) / 255.0
 
 
-def load_idx_labels(path, num_classes: int = 10) -> np.ndarray:
+def load_idx_labels(path) -> np.ndarray:
     path = Path(path)
     with open(path, "rb") as fh:
         header = _read_exact(fh, 8, 0, "label header")
@@ -81,19 +82,18 @@ def load_idx_labels(path, num_classes: int = 10) -> np.ndarray:
         if extra:
             raise DataFormatError(f"trailing bytes at offset {8 + n} in {path.name}")
     labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
-    bad = np.nonzero(labels >= num_classes)[0]
+    bad = np.nonzero(labels >= NUM_CLASSES)[0]
     if bad.size:
         i = int(bad[0])
         raise DataValidationError(
             f"label {labels[i]} at index {i} (byte offset {8 + i}) "
-            f"outside 0..{num_classes - 1}")
+            f"outside 0..{NUM_CLASSES - 1}")
     return labels
 
 
-def load_idx_pair(image_path, label_path, num_classes: int = 10,
-                  name: str = "idx") -> DatasetHandle:
+def load_idx_pair(image_path, label_path, name: str = "idx") -> DatasetHandle:
     images = load_idx_images(image_path)
-    labels = load_idx_labels(label_path, num_classes)
+    labels = load_idx_labels(label_path)
     if images.shape[0] != labels.shape[0]:
         raise DataValidationError(
             f"{images.shape[0]} images but {labels.shape[0]} labels")
@@ -127,8 +127,7 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
 # CSV fallback: header "label,f0,f1,...", one sample per row
 
 
-def load_csv_dataset(path, image_side: int = 28, num_classes: int = 10,
-                     name: str = "csv") -> DatasetHandle:
+def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHandle:
     path = Path(path)
     want = image_side * image_side
     labels = []
@@ -157,11 +156,11 @@ def load_csv_dataset(path, image_side: int = 28, num_classes: int = 10,
     labels = np.asarray(labels, dtype=np.int64)
     if labels.size == 0:
         raise DataFormatError(f"{path.name}: no data rows")
-    bad = np.nonzero((labels < 0) | (labels >= num_classes))[0]
+    bad = np.nonzero((labels < 0) | (labels >= NUM_CLASSES))[0]
     if bad.size:
         i = int(bad[0])
         raise DataValidationError(
-            f"{path.name}: line {i + 2}: label {labels[i]} outside 0..{num_classes - 1}")
+            f"{path.name}: line {i + 2}: label {labels[i]} outside 0..{NUM_CLASSES - 1}")
     images = np.asarray(pixels, dtype=np.float64).reshape(-1, 1, image_side, image_side)
     # written so that NaN, which fails every comparison, is rejected too
     if not ((images >= 0.0) & (images <= 1.0)).all():

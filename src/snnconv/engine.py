@@ -61,14 +61,6 @@ class SnnNetwork:
         return [s.theta for s in self.if_stages]
 
 
-@dataclass
-class ConversionReport:
-    """Per-stage mapping produced by :func:`convert`."""
-
-    thetas: list
-    v_init: list
-
-
 def convert(net: NetworkSpec) -> SnnNetwork:
     """Map a quantized-activation ANN onto an IF spiking network.
 
@@ -88,11 +80,6 @@ def convert(net: NetworkSpec) -> SnnNetwork:
         raise ConversionError("network has no classifier stage after the last activation")
     stages.append(Stage(pending, theta=None))
     return SnnNetwork(stages, net.quant_steps, net.input_shape, net.normalization)
-
-
-def conversion_report(snn: SnnNetwork) -> ConversionReport:
-    thetas = snn.thetas
-    return ConversionReport(thetas=list(thetas), v_init=[0.5 * t for t in thetas])
 
 
 # ---------------------------------------------------------------------------

@@ -18,6 +18,7 @@ from dataclasses import dataclass, field, replace
 from functools import reduce
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
 from .activation import qcfs
 from .errors import ParameterError, ShapeError
@@ -159,12 +160,10 @@ def _conv_geometry(params: LayerParams, shape: tuple):
 
 
 def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> np.ndarray:
+    """Patch columns ``(n, c*kh*kw, oh*ow)``, copied from one strided view."""
     n, c = x.shape[:2]
-    cols = np.empty((n, c, kh, kw, oh, ow), dtype=x.dtype)
-    for i in range(kh):
-        for j in range(kw):
-            cols[:, :, i, j] = x[:, :, i : i + stride * oh : stride, j : j + stride * ow : stride]
-    return cols.reshape(n, c * kh * kw, oh * ow)
+    windows = sliding_window_view(x, (kh, kw), axis=(2, 3))[:, :, ::stride, ::stride]
+    return windows.transpose(0, 1, 4, 5, 2, 3).reshape(n, c * kh * kw, oh * ow)
 
 
 def conv2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
@@ -312,9 +311,9 @@ def ann_forward(net: NetworkSpec, x: np.ndarray):
 
 
 def mlp_preset(quant_steps: int, hidden=(256, 128), in_features: int = 784,
-               classes: int = 10, lam: float = 1.0) -> NetworkSpec:
+               classes: int = 10) -> NetworkSpec:
     """784-256-128-10 style fully-connected network (weights zero-filled;
-    the trainer owns initialization)."""
+    the trainer owns initialization, thresholds included)."""
     widths = [in_features, *hidden, classes]
     layers = []
     for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
@@ -323,24 +322,23 @@ def mlp_preset(quant_steps: int, hidden=(256, 128), in_features: int = 784,
             kind="dense",
             weights=np.zeros((fo, fi)),
             bias=np.zeros(fo),
-            lam=None if last else lam,
+            lam=None if last else 1.0,
         ))
     return NetworkSpec(layers, quant_steps, (in_features,))
 
 
-def cnn_preset(quant_steps: int, in_shape=(1, 28, 28), channels=(8, 16),
-               hidden: int = 64, classes: int = 10, lam: float = 1.0) -> NetworkSpec:
-    """Two 3x3 conv blocks with average pooling, then two dense layers."""
-    c_in, h, w = in_shape
+def cnn_preset(quant_steps: int, channels=(8, 16), hidden: int = 64) -> NetworkSpec:
+    """Two 3x3 conv blocks with average pooling on 1x28x28 inputs, then two
+    dense layers to 10 classes."""
     c1, c2 = channels
-    flat = c2 * (h // 4) * (w // 4)
+    flat = c2 * 7 * 7
     layers = [
-        LayerParams("conv2d", np.zeros((c1, c_in, 3, 3)), np.zeros(c1), lam=lam, padding=1),
+        LayerParams("conv2d", np.zeros((c1, 1, 3, 3)), np.zeros(c1), lam=1.0, padding=1),
         LayerParams("avgpool2d", pool=2),
-        LayerParams("conv2d", np.zeros((c2, c1, 3, 3)), np.zeros(c2), lam=lam, padding=1),
+        LayerParams("conv2d", np.zeros((c2, c1, 3, 3)), np.zeros(c2), lam=1.0, padding=1),
         LayerParams("avgpool2d", pool=2),
         LayerParams("flatten"),
-        LayerParams("dense", np.zeros((hidden, flat)), np.zeros(hidden), lam=lam),
-        LayerParams("dense", np.zeros((classes, hidden)), np.zeros(classes)),
+        LayerParams("dense", np.zeros((hidden, flat)), np.zeros(hidden), lam=1.0),
+        LayerParams("dense", np.zeros((10, hidden)), np.zeros(10)),
     ]
-    return NetworkSpec(layers, quant_steps, tuple(in_shape))
+    return NetworkSpec(layers, quant_steps, (1, 28, 28))

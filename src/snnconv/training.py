@@ -19,6 +19,7 @@ from .errors import ParameterError, ShapeError, TrainingDivergenceError
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward
 
 LAM_FLOOR = 1e-3
+ACCURACY_BATCH = 256
 
 
 @dataclass
@@ -162,13 +163,12 @@ def prepare_inputs(images: np.ndarray, input_shape: tuple) -> np.ndarray:
     return images.reshape(n, *input_shape)
 
 
-def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
-             batch_size: int = 256) -> float:
+def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray) -> float:
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     correct = 0
-    for start in range(0, x.shape[0], batch_size):
-        logits, _ = ann_forward(net, x[start:start + batch_size])
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:start + batch_size]))
+    for start in range(0, x.shape[0], ACCURACY_BATCH):
+        logits, _ = ann_forward(net, x[start:start + ACCURACY_BATCH])
+        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:start + ACCURACY_BATCH]))
     return correct / x.shape[0]
 
 
@@ -176,7 +176,6 @@ def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
 class TrainHistory:
     loss: list = field(default_factory=list)
     train_accuracy: list = field(default_factory=list)
-    lr: list = field(default_factory=list)
 
 
 def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
@@ -218,5 +217,4 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         history.loss.append(epoch_loss / x.shape[0])
         history.train_accuracy.append(correct / x.shape[0])
-        history.lr.append(cosine_lr(config, epoch))
     return history

@@ -3,7 +3,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from snnconv.activation import QcfsActivation, qcfs, qcfs_backward
+from snnconv.activation import qcfs, qcfs_backward
 from snnconv.errors import ParameterError
 
 lam_values = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
@@ -61,22 +61,6 @@ class TestQcfsProperties:
     def test_grid_points_are_fixed_points(self, y, lam, steps):
         once = qcfs(y, lam, steps)
         assert qcfs(once, lam, steps) == pytest.approx(once, abs=1e-12)
-
-
-class TestActivationType:
-    def test_levels(self):
-        act = QcfsActivation(steps=4, threshold=1.0)
-        assert np.allclose(act.levels, [0.0, 0.25, 0.5, 0.75, 1.0])
-
-    def test_call_matches_function(self):
-        act = QcfsActivation(steps=4, threshold=1.0)
-        assert act(0.3) == qcfs(0.3, 1.0, 4)
-
-    def test_invalid(self):
-        with pytest.raises(ParameterError):
-            QcfsActivation(steps=0, threshold=1.0)
-        with pytest.raises(ParameterError):
-            QcfsActivation(steps=4, threshold=-1.0)
 
 
 def surrogate(y, lam):

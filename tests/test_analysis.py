@@ -14,7 +14,6 @@ from snnconv.analysis import (
     MAX_PRESYN,
     TheoremVerdict,
     UnevennessCase,
-    classify_case,
     classify_cases,
     error_type_I_distribution,
     error_type_II_distribution,
@@ -38,6 +37,10 @@ from helpers import case1_repair_net, positive_dense_net, random_dense_net, timi
 C = UnevennessCase
 
 
+def case_of(a, phi, lam=1.0):
+    return ALL_CASES[int(classify_cases(a, phi, lam))]
+
+
 class TestClassify:
     @pytest.mark.parametrize("a,phi,want", [
         (0.0, 0.5, C.CASE1),
@@ -49,24 +52,24 @@ class TestClassify:
         (1.0, 1.0, C.NO_ERROR),
     ])
     def test_examples(self, a, phi, want):
-        assert classify_case(a, phi, 1.0) is want
+        assert case_of(a, phi) is want
 
     def test_tolerance_band(self):
-        assert classify_case(0.5, 0.5 + 5e-7, 1.0) is C.NO_ERROR
-        assert classify_case(1e-7, 0.5, 1.0) is C.CASE1
+        assert case_of(0.5, 0.5 + 5e-7) is C.NO_ERROR
+        assert case_of(1e-7, 0.5) is C.CASE1
 
     def test_domain_errors(self):
         with pytest.raises(ParameterError):
-            classify_case(-0.1, 0.0, 1.0)
+            case_of(-0.1, 0.0)
         with pytest.raises(ParameterError):
-            classify_case(1.2, 0.5, 1.0)
+            case_of(1.2, 0.5)
         with pytest.raises(ParameterError):
-            classify_case(0.5, 0.5, 0.0)
+            case_of(0.5, 0.5, 0.0)
 
     @given(a=st.floats(0, 1), phi=st.floats(-0.5, 1.5))
     @settings(max_examples=300, deadline=None)
     def test_partition(self, a, phi):
-        case = classify_case(a, phi, 1.0)
+        case = case_of(a, phi)
         eps = EPS_DEFAULT
         if abs(phi - a) <= eps:
             assert case is C.NO_ERROR
@@ -82,7 +85,7 @@ class TestClassify:
         phi = rng.uniform(-0.3, 1.3, 500)
         codes = classify_cases(a, phi, 1.0)
         for ai, pi, code in zip(a, phi, codes):
-            assert ALL_CASES[code] is classify_case(float(ai), float(pi), 1.0)
+            assert ALL_CASES[code] is case_of(float(ai), float(pi))
 
     def test_vector_domain_error(self):
         with pytest.raises(ParameterError):
@@ -197,8 +200,8 @@ class TestSrpEffect:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
-        phi = snn_simulate(snn, x, 4).phi
-        shared = srp_effect_report(snn, x, tau=3, timesteps=4, phi=phi)
+        before = error_type_II_distribution(snn, x, 4)
+        shared = srp_effect_report(snn, x, tau=3, timesteps=4, before=before)
         own = srp_effect_report(snn, x, tau=3, timesteps=4)
         assert report_summary(shared.before) == report_summary(own.before)
         assert report_summary(shared.after) == report_summary(own.after)

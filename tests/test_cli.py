@@ -1,3 +1,4 @@
+import ast
 import csv
 import json
 import os
@@ -15,12 +16,20 @@ from snnconv.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
     EXIT_OK,
-    load_metrics_csv,
     main,
     parse_config_file,
 )
 from snnconv.datasets import DatasetHandle, write_csv_dataset
 from snnconv.errors import ParameterError
+
+
+def read_metrics(path) -> list:
+    """The eval CSV's rows as tuples; an empty SRP cell becomes None."""
+    with open(path, newline="") as fh:
+        reader = csv.DictReader(fh)
+        assert reader.fieldnames == ["T", "acc_ann", "acc_snn", "acc_srp"]
+        return [(int(r["T"]), float(r["acc_ann"]), float(r["acc_snn"]),
+                 float(r["acc_srp"]) if r["acc_srp"] else None) for r in reader]
 
 
 @pytest.fixture(scope="module")
@@ -147,7 +156,7 @@ class TestEval:
                      "--data", str(workspace["data"]), "--timesteps", "2,4",
                      "--out", str(out)])
         assert code == EXIT_OK
-        rows = load_metrics_csv(out)
+        rows = read_metrics(out)
         assert [r[0] for r in rows] == [2, 4]
         for _, acc_ann, acc_snn, acc_srp in rows:
             assert 0.0 <= acc_ann <= 1.0 and 0.0 <= acc_snn <= 1.0
@@ -171,8 +180,8 @@ class TestEval:
         for timesteps in ("4", "1", "3"):
             out = tmp_path / f"t{timesteps}.csv"
             assert main(args + ["--timesteps", timesteps, "--out", str(out)]) == EXIT_OK
-            rows += load_metrics_csv(out)
-        assert load_metrics_csv(together) == rows
+            rows += read_metrics(out)
+        assert read_metrics(together) == rows
 
     def test_timesteps_must_be_positive(self, workspace, tmp_path):
         code = main(["eval", "--model", str(workspace["model"]),
@@ -186,7 +195,7 @@ class TestEval:
                      "--data", str(workspace["data"]), "--timesteps", "4",
                      "--even-timing", "--out", str(out)])
         assert code == EXIT_OK
-        ((_, acc_ann, acc_snn, _),) = load_metrics_csv(out)
+        ((_, acc_ann, acc_snn, _),) = read_metrics(out)
         assert acc_snn == acc_ann
 
     def test_srp_column_populated(self, workspace, tmp_path):
@@ -195,7 +204,7 @@ class TestEval:
                      "--data", str(workspace["data"]), "--timesteps", "2",
                      "--srp", "--tau", "2", "--out", str(out)])
         assert code == EXIT_OK
-        ((_, _, _, acc_srp),) = load_metrics_csv(out)
+        ((_, _, _, acc_srp),) = read_metrics(out)
         assert acc_srp is not None
 
     def test_trace_output(self, workspace, tmp_path):
@@ -281,6 +290,8 @@ class TestAnalyze:
         assert code == EXIT_OK
         for name in ("srp_before.csv", "srp_after.csv", "srp_effect.json"):
             assert (out / name).exists()
+        # "before" is the plain Type II report itself
+        assert (out / "srp_before.csv").read_bytes() == (out / "type_II.csv").read_bytes()
         payload = json.loads((out / "srp_effect.json").read_text())
         assert payload["tau"] == 4
         assert {"before", "after"} <= set(payload)
@@ -304,6 +315,19 @@ def test_outputs_independent_of_blas_threads(workspace, tmp_path):
                             for p in sorted(out.rglob("*")) if p.is_file()}
     assert len(outputs["1"]) == 8  # metrics.csv and 7 analysis files
     assert outputs["1"] == outputs["2"]
+
+
+def test_traced_benchmark_names_resolve():
+    """The traced benchmark wraps each key of ``SPANS`` in
+    ``bench/trace_child.py`` as an attribute of ``snnconv.cli``; the file is
+    read, not imported."""
+    source = (Path(__file__).resolve().parents[1] / "bench" / "trace_child.py").read_text()
+    spans = next(node.value for node in ast.parse(source).body if isinstance(node, ast.Assign)
+                 and getattr(node.targets[0], "id", None) == "SPANS")
+    names = ast.literal_eval(spans)
+    assert names
+    assert [name for name in names if not hasattr(cli, name)] == []
+    assert [name for name in snnconv.__all__ if not hasattr(snnconv, name)] == []
 
 
 class TestVerifyTheorem:
@@ -377,7 +401,7 @@ class TestConfigFile:
         code = main(["eval", "--config", str(cfg), "--model", str(workspace["model"]),
                      "--data", str(workspace["data"]), "--out", str(out)])
         assert code == EXIT_OK
-        rows = load_metrics_csv(out)
+        rows = read_metrics(out)
         assert [r[0] for r in rows] == [2, 4]
         assert all(r[3] is not None for r in rows)
 

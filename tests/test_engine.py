@@ -8,7 +8,6 @@ from snnconv.activation import qcfs
 from snnconv.engine import (
     TraceRecorder,
     constant_current_phi,
-    conversion_report,
     convert,
     even_timing_phi,
     if_scan,
@@ -123,10 +122,7 @@ class TestConvert:
         net.layers[0].lam = 1.0
         net.layers[1].lam = 0.5
         snn = convert(net)
-        assert snn.thetas == [1.0, 0.5]
-        report = conversion_report(snn)
-        assert report.thetas == net.thresholds == [1.0, 0.5]
-        assert report.v_init == [0.5, 0.25]
+        assert snn.thetas == net.thresholds == [1.0, 0.5]
 
     def test_weights_shared_verbatim(self, rng):
         net = random_dense_net(rng, 4)

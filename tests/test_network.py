@@ -5,6 +5,7 @@ from snnconv.errors import ParameterError, ShapeError
 from snnconv.network import (
     LayerParams,
     NetworkSpec,
+    _im2col,
     ann_forward,
     avgpool2d_forward,
     cnn_preset,
@@ -64,6 +65,14 @@ class TestPrimitives:
         want = naive_conv2d(w, b, x, stride, padding)
         assert got.shape == want.shape
         assert np.allclose(got, want, atol=1e-12)
+        # the columns equal the kh x kw loop's, bit for bit
+        xp = np.pad(x, ((0, 0), (0, 0), (padding, padding), (padding, padding)))
+        oh, ow = want.shape[2:]
+        cols = np.empty((2, 2, 3, 3, oh, ow))
+        for i in range(3):
+            for j in range(3):
+                cols[:, :, i, j] = xp[:, :, i:i + stride * oh:stride, j:j + stride * ow:stride]
+        assert np.array_equal(_im2col(xp, 3, 3, stride, oh, ow), cols.reshape(2, 18, oh * ow))
 
     @pytest.mark.parametrize("k", range(1, 8))
     def test_avgpool_matches_reshape_mean(self, rng, k):

@@ -10,7 +10,8 @@ network's average output ``phi`` splits into four cases by the value of
     case 3:  0 < a < lam   and phi < a
     case 4:  a == lam      and phi < a
 
-Both distributions read the converted network alone: its stages share the
+Both distributions read the converted network and the per-stage averages
+``phi`` of a run on ``x`` that the caller made: the network's stages share the
 ANN's layer objects, so ``a = qcfs(stage.apply(prev))`` is the ANN's own
 activation.  Type I distributions feed each stage the spiking average of
 the previous stage, isolating the error a single layer generates; Type II
@@ -39,7 +40,7 @@ from itertools import combinations
 import numpy as np
 
 from .activation import qcfs
-from .engine import SnnNetwork, if_scan, snn_simulate, srp_inference
+from .engine import SnnNetwork, if_scan, srp_inference
 from .errors import ParameterError
 
 EPS_DEFAULT = 1e-6
@@ -116,13 +117,9 @@ def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float) -> Laye
                            mean_abs_err=float(err.mean()), max_abs_err=float(err.max()))
 
 
-def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
-            phi: list | None) -> ErrorReport:
-    """Compare every IF stage's ``phi`` (simulated here when not given) with
-    the quantized activation it replaces; the next stage sees ``phi`` (Type I)
-    or that activation (Type II)."""
-    if phi is None:
-        phi = snn_simulate(snn, x, timesteps).phi
+def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
+    """Compare every IF stage's ``phi`` with the quantized activation it
+    replaces; the next stage sees ``phi`` (Type I) or that activation (Type II)."""
     report = ErrorReport(error_type=error_type)
     prev = np.asarray(x, dtype=np.float64)
     for i, stage in enumerate(snn.if_stages):
@@ -132,21 +129,19 @@ def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
     return report
 
 
-def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                              phi: list | None = None) -> ErrorReport:
-    """Per-layer distribution with forced equal inputs.
+def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
+    """Per-layer distribution of a run's ``phi`` with forced equal inputs.
 
     For each stage, the layer's ANN output is recomputed from the spiking
     average of the previous stage (stage 0 sees the raw input), so every
     mismatch is generated inside that single stage.
     """
-    return _report("I", snn, x, timesteps, phi)
+    return _report("I", snn, x, phi)
 
 
-def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, timesteps: int,
-                               phi: list | None = None) -> ErrorReport:
-    """Per-layer distribution against the ordinary ANN forward pass."""
-    return _report("II", snn, x, timesteps, phi)
+def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
+    """Per-layer distribution of a run's ``phi`` against the ANN forward pass."""
+    return _report("II", snn, x, phi)
 
 
 @dataclass
@@ -161,16 +156,13 @@ class SrpEffect:
 
 
 def srp_effect_report(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
-                      before: ErrorReport | None = None) -> SrpEffect:
+                      before: ErrorReport) -> SrpEffect:
     """Type II distributions without and with residual-potential masking.
 
-    ``before`` is the plain run's Type II report, computed here when not
-    given.
+    ``before`` is the plain run's Type II report.
     """
     masked = srp_inference(snn, x, tau, timesteps)
-    if before is None:
-        before = _report("II", snn, x, timesteps, None)
-    return SrpEffect(before=before, after=_report("II", snn, x, timesteps, masked.phi))
+    return SrpEffect(before=before, after=_report("II", snn, x, masked.phi))
 
 
 # ---------------------------------------------------------------------------

@@ -307,16 +307,15 @@ def cmd_eval(args) -> int:
 
 
 def cmd_analyze(args) -> int:
-    timesteps = args.timesteps[0]
     _, snn, _, x = _load_model_and_data(args)
 
     # The plain run is shared by every report.
-    phi = snn_simulate(snn, x, timesteps).phi
+    phi = snn_simulate(snn, x, args.timesteps).phi
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
-        "type_I": error_type_I_distribution(snn, x, timesteps, phi=phi),
-        "type_II": error_type_II_distribution(snn, x, timesteps, phi=phi),
+        "type_I": error_type_I_distribution(snn, x, phi),
+        "type_II": error_type_II_distribution(snn, x, phi),
     }
     for name, report in reports.items():
         csv_path = out_dir / f"{name}.csv"
@@ -327,12 +326,12 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(snn, x, args.tau, timesteps, before=reports["type_II"])
+        effect = srp_effect_report(snn, x, args.tau, args.timesteps, before=reports["type_II"])
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {
             "tau": args.tau,
-            "timesteps": timesteps,
+            "timesteps": args.timesteps,
             "before": report_summary(effect.before),
             "after": report_summary(effect.after),
         }
@@ -358,6 +357,8 @@ def cmd_verify_theorem(args) -> int:
                    "violations": len(failures),
                    "a": result.a}
     else:
+        if args.theta != 1.0:
+            raise ParameterError("--theta applies only with --weights; the sweep checks theta=1")
         total, failures = random_theorem_sweep(args.draws, args.timesteps, seed=args.seed)
         print(f"checked {total} placements over {args.draws} draws x T in "
               f"{list(args.timesteps)}, {len(failures)} violations")
@@ -436,8 +437,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("analyze", cmd_analyze, "emit spike-timing error reports", out="analysis")
     p.add_argument("--model", default=None)
     data_options(p, "test")
-    p.add_argument("--timesteps", type=_parse_int_list, default=(1, 2, 4, 8),
-                   help="first value is used")
+    p.add_argument("--timesteps", type=int, default=1)
     p.add_argument("--tau", type=int, default=4)
     p.add_argument("--srp", action="store_true", help="add before/after masking reports")
     p.add_argument("--limit", type=int, default=256)

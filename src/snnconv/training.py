@@ -3,8 +3,9 @@
 Plain momentum SGD with weight decay and a cosine learning-rate decay to
 zero over the configured epochs.  Activation thresholds are trained jointly
 with the weights through the straight-through estimator and clamped to a
-small positive floor after every step.  Everything is deterministic for a
-fixed seed: seeded init, seeded shuffling, sequential batch reduction.
+small positive floor after every step.  The parameters live only on the
+layers, which every step updates in place.  Everything is deterministic for
+a fixed seed: seeded init, seeded shuffling, sequential batch reduction.
 """
 
 from __future__ import annotations
@@ -48,53 +49,25 @@ def cosine_lr(config: TrainConfig, epoch: int) -> float:
     return config.learning_rate * 0.5 * (1.0 + math.cos(math.pi * epoch / config.epochs))
 
 
-def sgd_step(params: dict, grads: dict, velocities: dict,
-             config: TrainConfig, epoch: int) -> dict:
-    """One momentum-SGD update over a flat name->array parameter dict.
+def sgd_step(net: NetworkSpec, grads: dict, velocities: dict,
+             config: TrainConfig, epoch: int) -> None:
+    """One momentum-SGD update of the layers and ``velocities``, in place.
 
-    Weight decay acts on weight tensors only (names ending in ``.w``);
-    velocities are updated in place.  Returns ``params``.
+    Keys are ``(layer index, attribute)``, as :func:`network_backward` gives.
+    Weight decay acts on weights only; thresholds end floored at ``LAM_FLOOR``.
     """
     lr = cosine_lr(config, epoch)
-    for name, value in params.items():
-        g = grads.get(name)
-        if g is None:
-            continue
-        if config.weight_decay and name.endswith(".w"):
+    for (i, attr), g in grads.items():
+        value = getattr(net.layers[i], attr)
+        if config.weight_decay and attr == "weights":
             g = g + config.weight_decay * value
-        vel = velocities.get(name)
+        vel = velocities.get((i, attr))
         vel = g if vel is None else config.momentum * vel + g
-        velocities[name] = vel
-        params[name] = value - lr * vel
-    return params
-
-
-# ---------------------------------------------------------------------------
-# parameter views
-
-
-def network_params(net: NetworkSpec) -> dict:
-    """Flat view of trainable arrays; lam is wrapped as a 0-d array."""
-    params = {}
-    for i, layer in enumerate(net.layers):
-        if layer.weights is not None:
-            params[f"{i}.w"] = layer.weights
-        if layer.bias is not None:
-            params[f"{i}.b"] = layer.bias
+        velocities[i, attr] = vel
+        setattr(net.layers[i], attr, value - lr * vel)
+    for layer in net.layers:
         if layer.lam is not None:
-            params[f"{i}.lam"] = np.float64(layer.lam)
-    return params
-
-
-def _write_back(net: NetworkSpec, params: dict) -> None:
-    for i, layer in enumerate(net.layers):
-        if layer.weights is not None:
-            layer.weights = np.asarray(params[f"{i}.w"])
-        if layer.bias is not None:
-            layer.bias = np.asarray(params[f"{i}.b"])
-        if layer.lam is not None:
-            layer.lam = max(float(params[f"{i}.lam"]), LAM_FLOOR)
-            params[f"{i}.lam"] = np.float64(layer.lam)
+            layer.lam = max(float(layer.lam), LAM_FLOOR)
 
 
 def init_network(net: NetworkSpec, seed: int, lam_init: float | None = None) -> NetworkSpec:
@@ -136,7 +109,7 @@ def network_backward(net: NetworkSpec, grad_logits: np.ndarray,
                      record: ActivationRecord) -> dict:
     """Backprop through all layers from the ``record`` of
     :func:`~snnconv.network.ann_forward`; quantized activations use the
-    straight-through gate."""
+    straight-through gate.  Keys are ``(layer index, attribute name)``."""
     grads = {}
     grad = grad_logits
     pre = reversed(record.pre)
@@ -144,12 +117,12 @@ def network_backward(net: NetworkSpec, grad_logits: np.ndarray,
         layer = net.layers[i]
         if layer.has_activation:
             grad, grad_lam = qcfs_backward(next(pre), layer.lam, net.quant_steps, grad)
-            grads[f"{i}.lam"] = grad_lam
+            grads[i, "lam"] = grad_lam
         grad, grad_w, grad_b = layer_backward(layer, record.inputs[i], grad)
         if grad_w is not None:
-            grads[f"{i}.w"] = grad_w
+            grads[i, "weights"] = grad_w
         if grad_b is not None:
-            grads[f"{i}.b"] = grad_b
+            grads[i, "bias"] = grad_b
     return grads
 
 
@@ -193,7 +166,6 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
     if classes is not None and (labels.min() < 0 or labels.max() >= classes):
         raise ParameterError(f"labels out of range for {classes} classes")
 
-    params = network_params(net)
     velocities: dict = {}
     rng = np.random.default_rng(seed + 1)
     history = TrainHistory()
@@ -211,8 +183,7 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
                 raise TrainingDivergenceError(
                     f"non-finite loss {loss} at epoch {epoch}, batch offset {start}")
             grads = network_backward(net, grad_logits, record)
-            sgd_step(params, grads, velocities, config, epoch)
-            _write_back(net, params)
+            sgd_step(net, grads, velocities, config, epoch)
             epoch_loss += loss * len(idx)
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         history.loss.append(epoch_loss / x.shape[0])

@@ -28,7 +28,7 @@ from snnconv.analysis import (
     write_report_csv,
     write_report_json,
 )
-from snnconv.engine import convert, snn_simulate
+from snnconv.engine import convert, snn_simulate, srp_inference
 from snnconv.errors import ParameterError
 from snnconv.network import ann_forward
 
@@ -98,15 +98,16 @@ class TestDistributions:
             net = random_dense_net(rng, 4)
             snn = convert(net)
             x = rng.uniform(0, 1, (6, net.input_shape[0]))
-            report = error_type_I_distribution(snn, x, timesteps=4)
+            report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
             assert report.layers[0].fraction(C.NO_ERROR) == 1.0
 
     def test_first_layer_same_for_both_types(self, rng):
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (6, net.input_shape[0]))
-        one = error_type_I_distribution(snn, x, timesteps=4)
-        two = error_type_II_distribution(snn, x, timesteps=4)
+        phi = snn_simulate(snn, x, 4).phi
+        one = error_type_I_distribution(snn, x, phi)
+        two = error_type_II_distribution(snn, x, phi)
         assert one.layers[0].fractions == two.layers[0].fractions
         assert one.error_type == "I" and two.error_type == "II"
 
@@ -114,15 +115,16 @@ class TestDistributions:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.2, 1.0, (10, net.input_shape[0]))
+        phi = snn_simulate(snn, x, 6).phi
         for maker in (error_type_I_distribution, error_type_II_distribution):
-            report = maker(snn, x, timesteps=6)
+            report = maker(snn, x, phi)
             for stats in report.layers:
                 assert sum(stats.fractions.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_timing_fixture_shows_both_mid_cases(self):
         net, x = timing_fixture_net()
         snn = convert(net)
-        report = error_type_I_distribution(snn, x, timesteps=4)
+        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
         mid = report.layers[1]
         assert mid.fraction(C.CASE2) == 0.5
         assert mid.fraction(C.CASE3) == 0.5
@@ -133,14 +135,16 @@ class TestDistributions:
         for layer in net.layers:
             layer.bias[:] = 0.0
         snn = convert(net)
-        report = error_type_II_distribution(snn, np.zeros((3, net.input_shape[0])), 5)
+        x = np.zeros((3, net.input_shape[0]))
+        report = error_type_II_distribution(snn, x, snn_simulate(snn, x, 5).phi)
         for stats in report.layers:
             assert stats.fraction(C.NO_ERROR) == 1.0
             assert stats.max_abs_err == 0.0
 
     def test_cnn_case1_dominates_errors(self, frozen_cnn):
         x = frozen_cnn["x_test"][:256]
-        report = error_type_I_distribution(frozen_cnn["snn"], x, timesteps=4)
+        snn = frozen_cnn["snn"]
+        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
         wins = 0
         for stats in report.layers:
             errs = {c: stats.fraction(c) for c in (C.CASE1, C.CASE2, C.CASE3, C.CASE4)}
@@ -155,7 +159,7 @@ class TestDistributions:
         frozen = request.getfixturevalue(bundle)
         x = frozen["x_test"][:count]
         post = ann_forward(frozen["net"], x)[1].post
-        report = error_type_II_distribution(frozen["snn"], x, 4, phi=post)
+        report = error_type_II_distribution(frozen["snn"], x, post)
         assert len(report.layers) == len(post)
         for stats in report.layers:
             assert stats.fraction(C.NO_ERROR) == 1.0
@@ -168,7 +172,7 @@ class TestDistributions:
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (40, 6))
         phi = snn_simulate(snn, x, 3).phi
-        report = error_type_II_distribution(snn, x, 3, phi=phi)
+        report = error_type_II_distribution(snn, x, phi)
         post = ann_forward(net, x)[1].post
         for stats, a, p, stage in zip(report.layers, post, phi, snn.if_stages):
             codes = classify_cases(a, p, stage.theta)
@@ -176,7 +180,7 @@ class TestDistributions:
                                        for i, c in enumerate(ALL_CASES)}
             assert stats.max_abs_err == float(np.abs(p - a).max())
         assert report.layers[-1].fractions != error_type_I_distribution(
-            snn, x, 3, phi=phi).layers[-1].fractions
+            snn, x, phi).layers[-1].fractions
 
 
 class TestSrpEffect:
@@ -184,14 +188,16 @@ class TestSrpEffect:
         net = positive_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (5, net.input_shape[0]))
-        effect = srp_effect_report(snn, x, tau=4, timesteps=4)
+        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        effect = srp_effect_report(snn, x, tau=4, timesteps=4, before=before)
         for b, a in zip(effect.before.layers, effect.after.layers):
             assert b.fractions == a.fractions
 
     def test_case1_fixture_repaired(self):
         net, x = case1_repair_net()
         snn = convert(net)
-        effect = srp_effect_report(snn, x, tau=2, timesteps=2)
+        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).phi)
+        effect = srp_effect_report(snn, x, tau=2, timesteps=2, before=before)
         assert effect.before.layers[1].fraction(C.CASE1) == 1.0
         assert effect.after.layers[1].fraction(C.NO_ERROR) == 1.0
         assert effect.case_delta(C.CASE1) == [0.0, -1.0]
@@ -200,15 +206,16 @@ class TestSrpEffect:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
-        before = error_type_II_distribution(snn, x, 4)
-        shared = srp_effect_report(snn, x, tau=3, timesteps=4, before=before)
-        own = srp_effect_report(snn, x, tau=3, timesteps=4)
-        assert report_summary(shared.before) == report_summary(own.before)
-        assert report_summary(shared.after) == report_summary(own.after)
+        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        effect = srp_effect_report(snn, x, tau=3, timesteps=4, before=before)
+        assert effect.before is before
+        after = error_type_II_distribution(snn, x, srp_inference(snn, x, 3, 4).phi)
+        assert report_summary(effect.after) == report_summary(after)
 
     def test_desk_scale_case1_not_worse(self, frozen_mlp):
-        x = frozen_mlp["x_test"][:256]
-        effect = srp_effect_report(frozen_mlp["snn"], x, tau=4, timesteps=4)
+        x, snn = frozen_mlp["x_test"][:256], frozen_mlp["snn"]
+        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        effect = srp_effect_report(snn, x, tau=4, timesteps=4, before=before)
         deltas = effect.case_delta(C.CASE1)
         assert all(d <= 1e-12 for d in deltas)
 
@@ -455,7 +462,8 @@ def _sweep_draws(draws, timesteps_list, seed):
 class TestEmission:
     def build_report(self):
         net, x = case1_repair_net()
-        return error_type_II_distribution(convert(net), x, timesteps=2)
+        snn = convert(net)
+        return error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).phi)
 
     def test_rows_and_csv(self, tmp_path):
         report = self.build_report()

@@ -296,6 +296,11 @@ class TestAnalyze:
         assert payload["tau"] == 4
         assert {"before", "after"} <= set(payload)
 
+    def test_timesteps_takes_one_integer(self):
+        with pytest.raises(SystemExit) as err:
+            main(["analyze", "--timesteps", "2,4"])
+        assert err.value.code == 2
+
 
 def test_outputs_independent_of_blas_threads(workspace, tmp_path):
     """eval and analyze write byte-identical files with 1 and 2 BLAS threads."""
@@ -362,6 +367,16 @@ class TestVerifyTheorem:
         code = main(["verify-theorem", "--weights", "1", "--counts", "4",
                      "--timesteps", "9"])
         assert code == EXIT_CONFIG
+
+    @pytest.mark.parametrize("theta", ["-1", "0.5"])
+    def test_sweep_rejects_theta(self, theta, capsys):
+        code = main(["verify-theorem", "--timesteps", "2", "--draws", "3", f"--theta={theta}"])
+        assert code == EXIT_CONFIG
+        assert "--weights" in capsys.readouterr().err
+
+    def test_sweep_accepts_default_theta(self):
+        code = main(["verify-theorem", "--timesteps", "2", "--draws", "3", "--theta=1.0"])
+        assert code == EXIT_OK
 
 
 class TestConfigFile:

@@ -17,9 +17,9 @@ from snnconv.engine import (
     srp_inference,
 )
 from snnconv.errors import ConversionError, DataValidationError, ParameterError, ShapeError
-from snnconv.network import NetworkSpec, ann_forward, cnn_preset, mlp_preset
+from snnconv.network import ann_forward, cnn_preset, mlp_preset
 
-from helpers import case1_repair_net, dense, positive_dense_net, random_dense_net, timing_fixture_net
+from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
 
 
 def single_neuron_run(currents, theta=1.0):

@@ -4,15 +4,13 @@ import numpy as np
 import pytest
 
 from snnconv.errors import ParameterError, ShapeError, TrainingDivergenceError
-from snnconv.network import NetworkSpec, ann_forward, mlp_preset
+from snnconv.network import NetworkSpec, mlp_preset
 from snnconv.training import (
     LAM_FLOOR,
     TrainConfig,
-    _write_back,
     accuracy,
     cosine_lr,
     init_network,
-    network_params,
     prepare_inputs,
     sgd_step,
     softmax_cross_entropy,
@@ -47,35 +45,43 @@ class TestSgdStep:
         base.update(kw)
         return TrainConfig(**base)
 
+    def net(self):
+        """Two dense layers, the first with a threshold."""
+        layers = [dense(np.ones((2, 2)), np.ones(2), lam=1.0), dense(np.zeros((1, 2)))]
+        return NetworkSpec(layers=layers, quant_steps=4, input_shape=(2,))
+
     def test_missing_grad_leaves_param(self):
-        params = {"a": np.float64(1.0), "b": np.float64(2.0)}
-        sgd_step(params, {"a": np.float64(0.0)}, {}, self.cfg(), 0)
-        assert params["a"] == 1.0
-        assert params["b"] == 2.0
+        net = self.net()
+        sgd_step(net, {(0, "bias"): np.zeros(2)}, {}, self.cfg(), 0)
+        assert np.all(net.layers[0].bias == 1.0)
+        assert np.all(net.layers[0].weights == 1.0)
+        assert np.all(net.layers[1].weights == 0.0)
 
     def test_single_step(self):
-        params = {"p": np.float64(0.0)}
-        sgd_step(params, {"p": np.float64(1.0)}, {}, self.cfg(), 0)
-        assert params["p"] == pytest.approx(-0.1)
+        net = self.net()
+        sgd_step(net, {(1, "weights"): np.ones((1, 2))}, {}, self.cfg(), 0)
+        assert net.layers[1].weights == pytest.approx(np.full((1, 2), -0.1))
 
     def test_momentum_accumulates(self):
         cfg = self.cfg(learning_rate=1.0, momentum=0.5)
-        params = {"p": np.float64(0.0)}
+        net = self.net()
         vel = {}
-        sgd_step(params, {"p": np.float64(1.0)}, vel, cfg, 0)
-        assert params["p"] == -1.0
-        sgd_step(params, {"p": np.float64(1.0)}, vel, cfg, 0)
+        sgd_step(net, {(1, "weights"): np.ones((1, 2))}, vel, cfg, 0)
+        assert np.all(net.layers[1].weights == -1.0)
+        sgd_step(net, {(1, "weights"): np.ones((1, 2))}, vel, cfg, 0)
         # velocity 0.5*1 + 1 = 1.5, so total displacement 2.5
-        assert params["p"] == -2.5
+        assert np.all(net.layers[1].weights == -2.5)
 
     def test_decay_hits_weights_only(self):
         cfg = self.cfg(weight_decay=0.1)
-        params = {"0.w": np.ones(2), "0.b": np.ones(2), "0.lam": np.float64(1.0)}
-        grads = {k: np.zeros_like(v) for k, v in params.items()}
-        sgd_step(params, grads, {}, cfg, 0)
-        assert np.allclose(params["0.w"], 1.0 - 0.1 * 0.1)
-        assert np.all(params["0.b"] == 1.0)
-        assert params["0.lam"] == 1.0
+        net = self.net()
+        grads = {(0, "weights"): np.zeros((2, 2)), (0, "bias"): np.zeros(2),
+                 (0, "lam"): np.float64(0.0)}
+        sgd_step(net, grads, {}, cfg, 0)
+        layer = net.layers[0]
+        assert np.allclose(layer.weights, 1.0 - 0.1 * 0.1)
+        assert np.all(layer.bias == 1.0)
+        assert layer.lam == 1.0
 
 
 class TestConfigValidation:
@@ -164,14 +170,9 @@ class TestTrainLoop:
 
     def test_threshold_floor(self, rng):
         net = init_network(random_dense_net(rng, 4, sizes=[4, 5, 2]), seed=0)
-        params = network_params(net)
-        idx = next(k for k in params if k.endswith(".lam"))
         cfg = TrainConfig(learning_rate=1.0, momentum=0.0, weight_decay=0.0, epochs=1)
-        sgd_step(params, {idx: np.float64(100.0)}, {}, cfg, 0)
-        _write_back(net, params)
-        layer = net.layers[int(idx.split(".")[0])]
-        assert layer.lam == LAM_FLOOR
-        assert params[idx] == LAM_FLOOR
+        sgd_step(net, {(0, "lam"): 100.0}, {}, cfg, 0)
+        assert net.layers[0].lam == LAM_FLOOR
 
     def test_labels_out_of_range(self, rng):
         net = init_network(random_dense_net(rng, 4, sizes=[4, 5, 3]), seed=0)

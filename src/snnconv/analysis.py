@@ -40,8 +40,8 @@ from itertools import combinations
 import numpy as np
 
 from .activation import qcfs
-from .engine import SnnNetwork, if_scan, srp_inference
-from .errors import ParameterError
+from .engine import SnnNetwork, if_scan
+from .errors import DataValidationError, ParameterError
 
 EPS_DEFAULT = 1e-6
 
@@ -122,6 +122,8 @@ def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list) -> Error
     replaces; the next stage sees ``phi`` (Type I) or that activation (Type II)."""
     report = ErrorReport(error_type=error_type)
     prev = np.asarray(x, dtype=np.float64)
+    if len(prev) == 0:
+        raise DataValidationError("input has no samples")
     for i, stage in enumerate(snn.if_stages):
         a = qcfs(stage.apply(prev), stage.theta, snn.quant_steps)
         report.layers.append(_layer_stats(i, a, phi[i], stage.theta))
@@ -155,14 +157,11 @@ class SrpEffect:
                 for a, b in zip(self.after.layers, self.before.layers)]
 
 
-def srp_effect_report(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int,
+def srp_effect_report(snn: SnnNetwork, x: np.ndarray, phi: list,
                       before: ErrorReport) -> SrpEffect:
-    """Type II distributions without and with residual-potential masking.
-
-    ``before`` is the plain run's Type II report.
-    """
-    masked = srp_inference(snn, x, tau, timesteps)
-    return SrpEffect(before=before, after=_report("II", snn, x, masked.phi))
+    """Type II distributions without and with residual-potential masking:
+    ``before`` is the plain run's report, ``phi`` the masked run's."""
+    return SrpEffect(before=before, after=_report("II", snn, x, phi))
 
 
 # ---------------------------------------------------------------------------

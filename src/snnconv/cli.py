@@ -45,6 +45,7 @@ from .datasets import (
 )
 from .engine import (
     TraceRecorder,
+    blocks,
     convert,
     snn_forced_phi,
     snn_simulate,
@@ -262,31 +263,35 @@ def _write_metrics(path, rows) -> None:
             fh.write(f"{timesteps},{acc_ann:.6f},{acc_snn:.6f},{srp_field}\n")
 
 
+def _block_scores(args, net, snn, n: int, block: np.ndarray) -> tuple:
+    """ANN logits, plain and SRP (or None) scores per ``--timesteps`` value of a
+    block's ``n`` real rows; the runs at the largest T give the shorter T as prefixes."""
+    x, t_max, index = block[:n], max(args.timesteps), [t - 1 for t in args.timesteps]
+    srp = srp_inference(snn, x, args.tau, t_max) if args.srp else None
+    if args.even_timing:
+        plain = np.stack([snn_forced_phi(snn, x, t)[0] for t in args.timesteps])
+    else:
+        plain = (snn_simulate(snn, x, t_max) if srp is None else srp.plain).prefix_scores[index]
+    srp_scores = None if srp is None else srp.prefix_scores[index]
+    return ann_forward(net, block)[0][:n], plain, srp_scores
+
+
 def cmd_eval(args) -> int:
     net, snn, handle, x = _load_model_and_data(args)
-    labels = handle.labels
-    # Only the logits are kept: the forward's record holds every layer's input.
-    acc_ann = _scores_accuracy(ann_forward(net, x)[0], labels)
-
-    # One run at the largest T gives every shorter T as a prefix, which is
-    # bit-identical to a separate run.  Even timing's closed form depends
-    # on T, so it is evaluated per T.  Only the scores are kept, so the
-    # plain run's per-stage arrays are freed before the SRP run.
     if min(args.timesteps) < 1:
         raise ParameterError(f"timesteps must be >= 1, got {list(args.timesteps)}")
-    t_max = max(args.timesteps)
-    plain = None if args.even_timing else snn_simulate(snn, x, t_max).prefix_scores
-    srp = srp_inference(snn, x, args.tau, t_max).prefix_scores if args.srp else None
+    if args.trace and not 0 <= args.trace_sample < len(handle):
+        raise ParameterError(f"trace sample {args.trace_sample} outside dataset of {len(handle)}")
+
+    # Only scores are kept: each block's runs are freed before the next starts.
+    ann, plain, srp = zip(*(_block_scores(args, net, snn, n, block) for n, block in blocks(x)))
+    acc_ann = _scores_accuracy(np.concatenate(ann), handle.labels)
+    plain = np.concatenate(plain, axis=1)
+    srp = np.concatenate(srp, axis=1) if args.srp else None
     rows = []
-    for timesteps in args.timesteps:
-        if args.even_timing:
-            scores, _ = snn_forced_phi(snn, x, timesteps)
-        else:
-            scores = plain[timesteps - 1]
-        acc_snn = _scores_accuracy(scores, labels)
-        acc_srp = None
-        if srp is not None:
-            acc_srp = _scores_accuracy(srp[timesteps - 1], labels)
+    for k, timesteps in enumerate(args.timesteps):
+        acc_snn = _scores_accuracy(plain[k], handle.labels)
+        acc_srp = None if srp is None else _scores_accuracy(srp[k], handle.labels)
         rows.append((timesteps, acc_ann, acc_snn, acc_srp))
         srp_text = "" if acc_srp is None else f" srp {acc_srp:.4f}"
         print(f"T={timesteps} ann {acc_ann:.4f} snn {acc_snn:.4f}{srp_text}")
@@ -295,11 +300,8 @@ def cmd_eval(args) -> int:
     print(f"wrote {args.out}")
 
     if args.trace:
-        sample = args.trace_sample
-        if not 0 <= sample < len(handle):
-            raise ParameterError(f"trace sample {sample} outside dataset of {len(handle)}")
         recorder = TraceRecorder()
-        snn_simulate(snn, x[sample:sample + 1], args.timesteps[0], trace=recorder)
+        snn_simulate(snn, x[[args.trace_sample]], args.timesteps[0], trace=recorder)
         _ensure_parent(args.trace)
         recorder.write_csv(args.trace)
         print(f"wrote {args.trace}")
@@ -309,8 +311,9 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     _, snn, _, x = _load_model_and_data(args)
 
-    # The plain run is shared by every report.
-    phi = snn_simulate(snn, x, args.timesteps).phi
+    # One run feeds every report; an SRP run carries the plain run.
+    masked = srp_inference(snn, x, args.tau, args.timesteps) if args.srp else None
+    phi = (snn_simulate(snn, x, args.timesteps) if masked is None else masked.plain).phi
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
@@ -326,7 +329,7 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(snn, x, args.tau, args.timesteps, before=reports["type_II"])
+        effect = srp_effect_report(snn, x, masked.phi, before=reports["type_II"])
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
         payload = {
@@ -346,6 +349,8 @@ def cmd_verify_theorem(args) -> int:
     if args.weights is not None:
         if args.counts is None:
             raise ParameterError("--counts is required when --weights is given")
+        if len(args.timesteps) != 1:
+            raise ParameterError(f"--weights takes one --timesteps, got {list(args.timesteps)}")
         timesteps = args.timesteps[0]
         result = verify_theorem1(args.weights, timesteps, args.counts, theta=args.theta)
         failures = theorem_failures(result)

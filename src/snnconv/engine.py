@@ -21,12 +21,16 @@ precisely the signal the two-stage masking inference uses.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
 from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward
+
+# Rows per simulated block.  BLAS ``matmul`` (dense layers) gives a row other
+# bits at up to 128 rows; at 256 every row gets a large batch's bits.
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -127,7 +131,7 @@ class SimResult:
     is that average after the first ``t`` steps, bit-identical to the
     ``scores`` of a separate ``t``-step run (the same readouts are summed
     in the same order and divided by the same ``t``); ``scores`` is its
-    last entry.
+    last entry.  An SRP run's ``plain`` is the plain run it took its masks from.
     """
 
     scores: np.ndarray
@@ -135,13 +139,15 @@ class SimResult:
     phi: list
     v_final: list
     masks: list | None = None
+    plain: SimResult | None = None
 
 
 class TraceRecorder:
     """Collects per-step ``(stage, t, u, s, v)`` array copies for debugging.
 
     ``rows`` and :meth:`write_csv` flatten them into one
-    ``(stage, neuron, t, u, s, v)`` row per neuron, in recording order.
+    ``(stage, neuron, t, u, s, v)`` row per neuron, in recording order; a
+    later block's record goes on with the neuron numbers of its stage and step.
     """
 
     def __init__(self):
@@ -152,8 +158,13 @@ class TraceRecorder:
 
     @property
     def rows(self) -> list:
-        return [(stage, neuron, t, *values) for stage, t, u, s, v in self.steps
-                for neuron, values in enumerate(zip(u.tolist(), s.tolist(), v.tolist()))]
+        rows, first = [], {}
+        for stage, t, u, s, v in self.steps:
+            start = first.get((stage, t), 0)
+            first[stage, t] = start + u.size
+            rows += [(stage, neuron, t, *values) for neuron, values
+                     in enumerate(zip(u.tolist(), s.tolist(), v.tolist()), start)]
+        return rows
 
     def write_csv(self, path) -> None:
         with open(path, "w", newline="") as fh:
@@ -171,48 +182,81 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != snn.input_shape:
         raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
+    if len(x) == 0:
+        raise DataValidationError("input has no samples")
     if not np.isfinite(x).all():
         raise DataValidationError("input contains NaN or infinite values")
     return x
 
 
+def blocks(x: np.ndarray):
+    """Yield ``(n, block)``: the next ``n <= BLOCK_ROWS`` rows of ``x``, zero-padded to
+    ``BLOCK_ROWS`` rows, so a sample's bits do not depend on the samples with it."""
+    for start in range(0, len(x), BLOCK_ROWS):
+        rows = x[start:start + BLOCK_ROWS]
+        block = np.zeros((BLOCK_ROWS, *x.shape[1:]), dtype=x.dtype)
+        block[:len(rows)] = rows
+        yield len(rows), block
+
+
+def _put_rows(out: list | None, total: int, b: int, n: int, parts: list) -> list:
+    """Write block ``b``'s ``n`` real rows into ``out``, allocated from the first block."""
+    if out is None:
+        out = [np.empty((total, *part.shape[1:])) for part in parts]
+    for array, part in zip(out, parts):
+        array[b * BLOCK_ROWS:b * BLOCK_ROWS + n] = part[:n]
+    return out
+
+
 def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = None,
-         trace: TraceRecorder | None = None) -> SimResult:
-    """Time loop shared by plain simulation and both SRP stages.
+         trace: TraceRecorder | None = None, mask_step: int = 0) -> SimResult:
+    """Time loop shared by plain simulation and both SRP stages, block by block.
 
     Every stage starts at ``theta/2``.  With ``masks``, each stage's
     emitted spikes are gated by its mask; the membrane still integrates and
     resets on its own firings, only the transmitted spike is suppressed.
+    With ``mask_step`` the result's ``masks`` are ``v >= 0`` after that step;
+    past ``timesteps`` only the IF stages run on, so the rest describes that step.
     """
-    # Potentials and counts start as scalars and become arrays on the first
-    # step by broadcasting, so no shape probe is needed.
-    v = [0.5 * stage.theta for stage in snn.if_stages]
-    counts = [0] * len(v)
-    # Under direct coding stage 0's input current is the same at every step.
-    current0 = snn.stages[0].apply(x)
-    score_sum = prefix_scores = None
-    for t in range(timesteps):
-        current = current0
-        for i, stage in enumerate(snn.if_stages):
-            if trace is not None:
-                u = v[i] + current
-            v[i], fired = if_step(v[i], current, stage.theta)
-            s = fired.astype(np.float64)
-            if masks is not None:
-                s *= masks[i]
-            counts[i] += s
-            if trace is not None:
-                trace.record(i, t + 1, u, s, v[i])
-            current = snn.stages[i + 1].apply(stage.theta * s)
-        if t == 0:
-            score_sum = current
-            prefix_scores = np.empty((timesteps, *current.shape))
-        else:
-            score_sum = score_sum + current
-        prefix_scores[t] = score_sum / (t + 1)
-    phi = [stage.theta * (c / timesteps) for stage, c in zip(snn.if_stages, counts)]
-    return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=phi,
-                     v_final=v, masks=masks)
+    stages = snn.if_stages
+    prefix_scores, out, step_masks = None, None, []
+    for b, (n, block) in enumerate(blocks(x)):
+        rows = slice(b * BLOCK_ROWS, b * BLOCK_ROWS + n)
+        # Potentials and counts start as scalars and become arrays on the
+        # first step by broadcasting, so no shape probe is needed.
+        v = [0.5 * stage.theta for stage in stages]
+        counts = [0] * len(v)
+        # Under direct coding stage 0's input current is the same at every step.
+        current0 = snn.stages[0].apply(block)
+        for t in range(max(timesteps, mask_step)):
+            current = current0
+            for i, stage in enumerate(stages):
+                if trace is not None:
+                    u = v[i] + current
+                v[i], fired = if_step(v[i], current, stage.theta)
+                s = fired.astype(np.float64)
+                if masks is not None:
+                    s[:n] *= masks[i][rows]
+                if trace is not None:
+                    trace.record(i, t + 1, u[:n], s[:n], v[i][:n])
+                if t < timesteps:
+                    counts[i] += s
+                if t < timesteps or i + 1 < len(stages):
+                    current = snn.stages[i + 1].apply(stage.theta * s)
+            if t < timesteps:
+                score_sum = current if t == 0 else score_sum + current
+                if prefix_scores is None:
+                    prefix_scores = np.empty((timesteps, len(x), *current.shape[1:]))
+                prefix_scores[t, rows] = score_sum[:n] / (t + 1)
+            if t + 1 == timesteps:
+                v_final = list(v)
+            if t + 1 == mask_step:
+                step_masks = [(vi >= 0.0).astype(np.float64) for vi in v]
+        phi = [stage.theta * (c / timesteps) for stage, c in zip(stages, counts)]
+        out = _put_rows(out, len(x), b, n, phi + v_final + step_masks)
+    k = len(stages)
+    return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=out[:k],
+                     v_final=out[k:2 * k], masks=out[2 * k:] if mask_step else masks)
 
 
 def snn_simulate(snn: SnnNetwork, x: np.ndarray, timesteps: int,
@@ -234,11 +278,13 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int) -> S
     theta/2, and stage 2 runs ``timesteps`` steps with each stage's spike
     output gated by its mask.  Stage-1 spikes are discarded; only the masks
     survive into stage 2.  The masks depend on ``tau`` alone, so
-    ``prefix_scores`` gives every shorter stage 2 as well.
+    ``prefix_scores`` gives every shorter stage 2 as well.  Stage 1 is the start
+    of the result's ``plain`` run, bit-identical to ``snn_simulate(snn, x, timesteps)``.
     """
     x = _checked_input(snn, x, tau=tau, timesteps=timesteps)
-    masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]
-    return _run(snn, x, timesteps, masks=masks)
+    plain = _run(snn, x, timesteps, mask_step=tau)
+    masks, plain.masks = plain.masks, None
+    return replace(_run(snn, x, timesteps, masks=masks), plain=plain)
 
 
 # ---------------------------------------------------------------------------
@@ -279,12 +325,12 @@ def snn_forced_phi(snn: SnnNetwork, x: np.ndarray, timesteps: int):
     stage's final average output, which removes all spike-timing effects.
     Returns ``(scores, phi_per_stage)``.
     """
-    cur = _checked_input(snn, x, timesteps=timesteps)
-    phis = []
-    for stage in snn.if_stages:
-        y = stage.apply(cur)
-        phi = constant_current_phi(y, stage.theta, timesteps)
-        phis.append(phi)
-        cur = phi
-    scores = snn.stages[-1].apply(cur)
-    return scores, phis
+    x = _checked_input(snn, x, timesteps=timesteps)
+    out = None
+    for b, (n, cur) in enumerate(blocks(x)):
+        phis = []
+        for stage in snn.if_stages:
+            cur = constant_current_phi(stage.apply(cur), stage.theta, timesteps)
+            phis.append(cur)
+        out = _put_rows(out, len(x), b, n, [snn.stages[-1].apply(cur), *phis])
+    return out[0], out[1:]

@@ -181,7 +181,8 @@ def test_criterion_6_report_soundness(frozen_mlp):
                 sums_ok = sums_ok and abs(sum(stats.fractions.values()) - 1.0) <= 1e-9
         first_layer_ok = (first_layer_ok
                           and one.layers[0].fractions == two.layers[0].fractions)
-        effect = srp_effect_report(snn, x, tau=4, timesteps=timesteps, before=two)
+        masked = srp_inference(snn, x, 4, timesteps).phi
+        effect = srp_effect_report(snn, x, masked, before=two)
         for delta in effect.case_delta(UnevennessCase.CASE1):
             case1_ok = case1_ok and delta <= 1e-12
     _report(6, "fractions sum to 1 (1e-9), first-layer reports identical, "

@@ -29,7 +29,7 @@ from snnconv.analysis import (
     write_report_json,
 )
 from snnconv.engine import convert, snn_simulate, srp_inference
-from snnconv.errors import ParameterError
+from snnconv.errors import DataValidationError, ParameterError
 from snnconv.network import ann_forward
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
@@ -183,13 +183,23 @@ class TestDistributions:
             snn, x, phi).layers[-1].fractions
 
 
+class TestEmptyInput:
+    def test_reports_reject_no_samples(self, rng):
+        snn = convert(random_dense_net(rng, 4))
+        x = rng.uniform(0, 1, (3, snn.input_shape[0]))
+        phi = [p[:0] for p in snn_simulate(snn, x, 2).phi]
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(DataValidationError):
+                report(snn, x[:0], phi)
+
+
 class TestSrpEffect:
     def test_identity_masks_change_nothing(self, rng):
         net = positive_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (5, net.input_shape[0]))
         before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        effect = srp_effect_report(snn, x, tau=4, timesteps=4, before=before)
+        effect = srp_effect_report(snn, x, srp_inference(snn, x, 4, 4).phi, before=before)
         for b, a in zip(effect.before.layers, effect.after.layers):
             assert b.fractions == a.fractions
 
@@ -197,7 +207,7 @@ class TestSrpEffect:
         net, x = case1_repair_net()
         snn = convert(net)
         before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).phi)
-        effect = srp_effect_report(snn, x, tau=2, timesteps=2, before=before)
+        effect = srp_effect_report(snn, x, srp_inference(snn, x, 2, 2).phi, before=before)
         assert effect.before.layers[1].fraction(C.CASE1) == 1.0
         assert effect.after.layers[1].fraction(C.NO_ERROR) == 1.0
         assert effect.case_delta(C.CASE1) == [0.0, -1.0]
@@ -206,16 +216,19 @@ class TestSrpEffect:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
-        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        effect = srp_effect_report(snn, x, tau=3, timesteps=4, before=before)
+        masked = srp_inference(snn, x, 3, 4)
+        before = error_type_II_distribution(snn, x, masked.plain.phi)
+        effect = srp_effect_report(snn, x, masked.phi, before=before)
         assert effect.before is before
-        after = error_type_II_distribution(snn, x, srp_inference(snn, x, 3, 4).phi)
+        after = error_type_II_distribution(snn, x, masked.phi)
         assert report_summary(effect.after) == report_summary(after)
+        plain = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        assert report_summary(before) == report_summary(plain)
 
     def test_desk_scale_case1_not_worse(self, frozen_mlp):
         x, snn = frozen_mlp["x_test"][:256], frozen_mlp["snn"]
         before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        effect = srp_effect_report(snn, x, tau=4, timesteps=4, before=before)
+        effect = srp_effect_report(snn, x, srp_inference(snn, x, 4, 4).phi, before=before)
         deltas = effect.case_delta(C.CASE1)
         assert all(d <= 1e-12 for d in deltas)
 

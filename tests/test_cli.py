@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -20,6 +21,7 @@ from snnconv.cli import (
     parse_config_file,
 )
 from snnconv.datasets import DatasetHandle, write_csv_dataset
+from snnconv.engine import BLOCK_ROWS
 from snnconv.errors import ParameterError
 
 
@@ -149,7 +151,35 @@ class _TupleTraceRecorder:
             writer.writerows(self.rows)
 
 
+@pytest.fixture(scope="module")
+def cnn_workspace(tmp_path_factory):
+    """A briefly trained CNN and a test split of four blocks."""
+    root = tmp_path_factory.mktemp("cnn")
+    data, model = root / "data", root / "cnn.ckpt"
+    assert main(["make-data", "--out", str(data), "--train-count", "64",
+                 "--test-count", str(4 * BLOCK_ROWS), "--seed", "0"]) == EXIT_OK
+    assert main(["train", "--data", str(data), "--arch", "cnn", "--epochs", "1",
+                 "--seed", "0", "--out", str(model)]) == EXIT_OK
+    return {"data": data, "model": model}
+
+
 class TestEval:
+    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):
+        # eval keeps only scores and simulates one block at a time, so four
+        # blocks of samples cost about what one block does
+        peaks = []
+        for limit in (BLOCK_ROWS, 4 * BLOCK_ROWS):
+            tracemalloc.start()
+            try:
+                code = main(["eval", "--model", str(cnn_workspace["model"]),
+                             "--data", str(cnn_workspace["data"]), "--srp",
+                             "--limit", str(limit), "--out", str(tmp_path / f"{limit}.csv")])
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+            assert code == EXIT_OK
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_metrics_csv_round_trip(self, workspace, tmp_path):
         out = tmp_path / "metrics.csv"
         code = main(["eval", "--model", str(workspace["model"]),
@@ -237,6 +267,9 @@ class TestEval:
                      "--out", str(tmp_path / "m.csv"),
                      "--trace", str(tmp_path / "t.csv"), "--trace-sample", "999"])
         assert code == EXIT_CONFIG
+        # checked before any simulation, so nothing is written
+        assert not (tmp_path / "m.csv").exists()
+        assert not (tmp_path / "t.csv").exists()
 
     def test_missing_model_file(self, workspace, tmp_path):
         code = main(["eval", "--model", str(tmp_path / "nope.ckpt"),
@@ -362,6 +395,11 @@ class TestVerifyTheorem:
 
     def test_instance_needs_counts(self):
         assert main(["verify-theorem", "--weights", "2,-1"]) == EXIT_CONFIG
+
+    def test_instance_takes_one_timesteps(self, capsys):
+        code = main(["verify-theorem", "--weights", "1", "--counts", "1", "--timesteps", "2,4"])
+        assert code == EXIT_CONFIG
+        assert "--timesteps" in capsys.readouterr().err
 
     def test_instance_beyond_cap(self):
         code = main(["verify-theorem", "--weights", "1", "--counts", "4",

@@ -6,7 +6,10 @@ from hypothesis import example, given, settings, strategies as st
 
 from snnconv.activation import qcfs
 from snnconv.engine import (
+    BLOCK_ROWS,
     TraceRecorder,
+    _run,
+    blocks,
     constant_current_phi,
     convert,
     even_timing_phi,
@@ -209,6 +212,14 @@ class TestSimulate:
         with pytest.raises(ShapeError):
             snn_simulate(snn, np.zeros((1, 5)), 4)
 
+    def test_empty_input_rejected(self, rng):
+        snn = convert(random_dense_net(rng, 4, sizes=[3, 4, 2]))
+        x = np.zeros((0, 3))
+        for run in (lambda: snn_simulate(snn, x, 4), lambda: srp_inference(snn, x, 2, 4),
+                    lambda: snn_forced_phi(snn, x, 4)):
+            with pytest.raises(DataValidationError):
+                run()
+
     @pytest.mark.parametrize("value", [np.nan, np.inf, -np.inf])
     def test_non_finite_input_rejected(self, rng, value):
         # NaN >= theta is false, so a NaN sample would otherwise run silent
@@ -247,6 +258,62 @@ class TestPrefixScores:
                                   snn_simulate(snn, x, t).scores)
             assert np.array_equal(masked.prefix_scores[t - 1],
                                   srp_inference(snn, x, tau, t).scores)
+
+
+def assert_same_run(a, b, rows=slice(None)):
+    """``a`` equals rows ``rows`` of ``b``, bit for bit, field by field."""
+    assert np.array_equal(a.prefix_scores, b.prefix_scores[:, rows])
+    assert np.array_equal(a.scores, b.scores[rows])
+    for name in ("phi", "v_final", "masks"):
+        left, right = getattr(a, name), getattr(b, name)
+        assert (left is None) == (right is None), name
+        for p, q in zip(left or [], right or [], strict=True):
+            assert np.array_equal(p, q[rows]), name
+
+
+class TestBlocks:
+    def test_zero_padded_blocks(self, rng):
+        x = rng.normal(size=(BLOCK_ROWS + 3, 2, 2))
+        (n0, b0), (n1, b1) = blocks(x)
+        assert (n0, n1) == (BLOCK_ROWS, 3)
+        assert b0.shape == b1.shape == (BLOCK_ROWS, 2, 2)
+        assert np.array_equal(b0, x[:BLOCK_ROWS]) and np.array_equal(b1[:3], x[BLOCK_ROWS:])
+        assert not b1[3:].any()
+
+    @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
+    def test_batch_invariance(self, request, fixture):
+        # A sample gets the same bits alone, inside an odd slice and in the
+        # full set (4 blocks and more): the stages only see whole padded blocks.
+        frozen = request.getfixturevalue(fixture)
+        snn, x = frozen["snn"], frozen["x_test"]
+        full, full_srp = snn_simulate(snn, x, 4), srp_inference(snn, x, 2, 4)
+        full_forced = snn_forced_phi(snn, x, 4)
+        for rows in (slice(0, 1), slice(5, 42)):
+            assert_same_run(snn_simulate(snn, x[rows], 4), full, rows)
+            srp = srp_inference(snn, x[rows], 2, 4)
+            assert_same_run(srp, full_srp, rows)
+            assert_same_run(srp.plain, full_srp.plain, rows)
+            scores, phis = snn_forced_phi(snn, x[rows], 4)
+            assert np.array_equal(scores, full_forced[0][rows])
+            for p, q in zip(phis, full_forced[1], strict=True):
+                assert np.array_equal(p, q[rows])
+
+
+def reference_srp(snn, x, tau, timesteps):
+    """Two-pass SRP: a tau-step plain run for the masks, then the masked run."""
+    masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]
+    return _run(snn, x, timesteps, masks=masks)
+
+
+class TestSharedStageOne:
+    @pytest.mark.parametrize("tau", [2, 5, 8])
+    def test_plain_run_and_masks_shared(self, frozen_mlp, tau):
+        # 300 samples span two blocks; tau < T, tau == T and tau > T
+        snn, x, timesteps = frozen_mlp["snn"], frozen_mlp["x_test"][:300], 5
+        res = srp_inference(snn, x, tau, timesteps)
+        assert_same_run(res.plain, snn_simulate(snn, x, timesteps))
+        assert_same_run(res, reference_srp(snn, x, tau, timesteps))
+        assert res.plain.plain is None and res.masks is not None
 
 
 class TestSrp:
@@ -373,3 +440,17 @@ class TestTrace:
             rows = list(csv.reader(fh))
         assert rows[0] == ["layer", "neuron", "t", "u", "s", "v"]
         assert len(rows) == 1 + len(trace.rows)
+
+    def test_blocks_number_neurons_on(self, rng):
+        # 300 samples run as two blocks; every neuron keeps its own number,
+        # and a sample in the second block reads as it does traced alone
+        snn = convert(random_dense_net(rng, 4, sizes=[3, 4, 2]))
+        x = rng.uniform(0, 1, (BLOCK_ROWS + 44, 3))
+        full, alone = TraceRecorder(), TraceRecorder()
+        snn_simulate(snn, x, 2, trace=full)
+        snn_simulate(snn, x[-1:], 2, trace=alone)
+        keys = [row[:3] for row in full.rows]
+        assert len(keys) == len(set(keys)) == len(x) * 4 * 2
+        offset = (len(x) - 1) * 4
+        last = [(st, n - offset, *rest) for st, n, *rest in full.rows if n >= offset]
+        assert sorted(last) == sorted(alone.rows)

@@ -41,7 +41,8 @@ import numpy as np
 
 from .activation import qcfs
 from .engine import SnnNetwork, if_scan
-from .errors import DataValidationError, ParameterError
+from .errors import ParameterError
+from .network import map_blocks
 
 EPS_DEFAULT = 1e-6
 
@@ -122,10 +123,9 @@ def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list) -> Error
     replaces; the next stage sees ``phi`` (Type I) or that activation (Type II)."""
     report = ErrorReport(error_type=error_type)
     prev = np.asarray(x, dtype=np.float64)
-    if len(prev) == 0:
-        raise DataValidationError("input has no samples")
     for i, stage in enumerate(snn.if_stages):
-        a = qcfs(stage.apply(prev), stage.theta, snn.quant_steps)
+        (pre,) = map_blocks(lambda n, block: [stage.apply(block)], prev)
+        a = qcfs(pre, stage.theta, snn.quant_steps)
         report.layers.append(_layer_stats(i, a, phi[i], stage.theta))
         prev = phi[i] if error_type == "I" else a
     return report
@@ -418,6 +418,8 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
     Returns ``(n_instances, failures)`` aggregated over all draws; used by
     the CLI and the acceptance gate.
     """
+    if draws < 1:
+        raise ParameterError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
     total = 0
     failures = []

@@ -43,14 +43,7 @@ from .datasets import (
     standardize,
     synthetic_digits,
 )
-from .engine import (
-    TraceRecorder,
-    blocks,
-    convert,
-    snn_forced_phi,
-    snn_simulate,
-    srp_inference,
-)
+from .engine import TraceRecorder, convert, snn_forced_phi, snn_simulate, srp_inference
 from .errors import (
     ConversionError,
     DataFormatError,
@@ -59,7 +52,7 @@ from .errors import (
     ShapeError,
     TrainingDivergenceError,
 )
-from .network import ann_forward, cnn_preset, mlp_preset
+from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
 from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
 
 EXIT_OK = 0
@@ -181,7 +174,11 @@ def _require(args, *names) -> None:
 
 
 def _limited(handle: DatasetHandle, limit) -> DatasetHandle:
-    return handle.subset(slice(0, limit)) if limit else handle
+    if limit is None:
+        return handle
+    if limit < 1:
+        raise ParameterError(f"--limit must be >= 1, got {limit}")
+    return handle.subset(slice(0, limit))
 
 
 def _load_model_and_data(args):
@@ -263,17 +260,18 @@ def _write_metrics(path, rows) -> None:
             fh.write(f"{timesteps},{acc_ann:.6f},{acc_snn:.6f},{srp_field}\n")
 
 
-def _block_scores(args, net, snn, n: int, block: np.ndarray) -> tuple:
-    """ANN logits, plain and SRP (or None) scores per ``--timesteps`` value of a
-    block's ``n`` real rows; the runs at the largest T give the shorter T as prefixes."""
+def _block_scores(args, net, snn, n: int, block: np.ndarray) -> list:
+    """ANN logits, then plain and (with ``--srp``) SRP scores per ``--timesteps`` value
+    on axis 1, of a block's ``n`` real rows; the runs at the largest T give the rest."""
     x, t_max, index = block[:n], max(args.timesteps), [t - 1 for t in args.timesteps]
     srp = srp_inference(snn, x, args.tau, t_max) if args.srp else None
     if args.even_timing:
-        plain = np.stack([snn_forced_phi(snn, x, t)[0] for t in args.timesteps])
+        plain = np.stack([snn_forced_phi(snn, x, t)[0] for t in args.timesteps], axis=1)
     else:
-        plain = (snn_simulate(snn, x, t_max) if srp is None else srp.plain).prefix_scores[index]
-    srp_scores = None if srp is None else srp.prefix_scores[index]
-    return ann_forward(net, block)[0][:n], plain, srp_scores
+        run = snn_simulate(snn, x, t_max) if srp is None else srp.plain
+        plain = run.prefix_scores[index].swapaxes(0, 1)
+    scores = [ann_forward(net, block)[0], plain]
+    return scores if srp is None else scores + [srp.prefix_scores[index].swapaxes(0, 1)]
 
 
 def cmd_eval(args) -> int:
@@ -284,14 +282,12 @@ def cmd_eval(args) -> int:
         raise ParameterError(f"trace sample {args.trace_sample} outside dataset of {len(handle)}")
 
     # Only scores are kept: each block's runs are freed before the next starts.
-    ann, plain, srp = zip(*(_block_scores(args, net, snn, n, block) for n, block in blocks(x)))
-    acc_ann = _scores_accuracy(np.concatenate(ann), handle.labels)
-    plain = np.concatenate(plain, axis=1)
-    srp = np.concatenate(srp, axis=1) if args.srp else None
+    ann, plain, *srp = map_blocks(lambda n, block: _block_scores(args, net, snn, n, block), x)
+    acc_ann = _scores_accuracy(ann, handle.labels)
     rows = []
     for k, timesteps in enumerate(args.timesteps):
-        acc_snn = _scores_accuracy(plain[k], handle.labels)
-        acc_srp = None if srp is None else _scores_accuracy(srp[k], handle.labels)
+        acc_snn = _scores_accuracy(plain[:, k], handle.labels)
+        acc_srp = _scores_accuracy(srp[0][:, k], handle.labels) if srp else None
         rows.append((timesteps, acc_ann, acc_snn, acc_srp))
         srp_text = "" if acc_srp is None else f" srp {acc_srp:.4f}"
         print(f"T={timesteps} ann {acc_ann:.4f} snn {acc_snn:.4f}{srp_text}")
@@ -397,7 +393,6 @@ def build_parser() -> argparse.ArgumentParser:
         p = sub.add_parser(name, help=help)
         p.add_argument("--config", action=_ConfigFile,
                        help="flat key=value config file; flags win over it")
-        p.add_argument("--seed", type=int, default=0)
         p.add_argument("--out", default=out)
         p.set_defaults(func=func)
         return p
@@ -407,12 +402,14 @@ def build_parser() -> argparse.ArgumentParser:
         p.add_argument("--split", default=split)
 
     p = command("make-data", cmd_make_data, "generate the synthetic digit set")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--train-count", type=int, default=2000, dest="train_count")
     p.add_argument("--test-count", type=int, default=500, dest="test_count")
     p.add_argument("--noise", type=float, default=0.15)
 
     p = command("train", cmd_train, "train a quantized-activation network", out="model.ckpt")
     data_options(p, "train")
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--arch", default="mlp")
     p.add_argument("--quant-steps", type=int, default=4, dest="quant_steps")
     p.add_argument("--epochs", type=int, default=20)
@@ -450,6 +447,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = command("verify-theorem", cmd_verify_theorem,
                 "exhaustively check the residual-potential theorem")
     p.add_argument("--timesteps", type=_parse_int_list, default=(2, 4, 6))
+    p.add_argument("--seed", type=int, default=0)
     p.add_argument("--draws", type=int, default=100)
     p.add_argument("--weights", type=_parse_float_list, default=None,
                    help="check one explicit instance instead of a random sweep")

@@ -22,7 +22,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DataValidationError
+from .errors import DataFormatError, DataValidationError, ParameterError
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -271,6 +271,10 @@ def synthetic_digits(n: int, seed: int = 0, side: int = 28,
     Each sample upscales a 7x5 glyph by 3x, pastes it at a random offset,
     scales its intensity, and adds clipped pixel noise.
     """
+    if n < 0:
+        raise ParameterError(f"sample count must be >= 0, got {n}")
+    if not noise >= 0:
+        raise ParameterError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     scale = 3
     gh, gw = 7 * scale, 5 * scale

@@ -26,11 +26,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
-from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward
-
-# Rows per simulated block.  BLAS ``matmul`` (dense layers) gives a row other
-# bits at up to 128 rows; at 256 every row gets a large batch's bits.
-BLOCK_ROWS = 256
+from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks
 
 
 @dataclass
@@ -182,30 +178,9 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != snn.input_shape:
         raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
-    if len(x) == 0:
-        raise DataValidationError("input has no samples")
     if not np.isfinite(x).all():
         raise DataValidationError("input contains NaN or infinite values")
     return x
-
-
-def blocks(x: np.ndarray):
-    """Yield ``(n, block)``: the next ``n <= BLOCK_ROWS`` rows of ``x``, zero-padded to
-    ``BLOCK_ROWS`` rows, so a sample's bits do not depend on the samples with it."""
-    for start in range(0, len(x), BLOCK_ROWS):
-        rows = x[start:start + BLOCK_ROWS]
-        block = np.zeros((BLOCK_ROWS, *x.shape[1:]), dtype=x.dtype)
-        block[:len(rows)] = rows
-        yield len(rows), block
-
-
-def _put_rows(out: list | None, total: int, b: int, n: int, parts: list) -> list:
-    """Write block ``b``'s ``n`` real rows into ``out``, allocated from the first block."""
-    if out is None:
-        out = [np.empty((total, *part.shape[1:])) for part in parts]
-    for array, part in zip(out, parts):
-        array[b * BLOCK_ROWS:b * BLOCK_ROWS + n] = part[:n]
-    return out
 
 
 def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = None,
@@ -219,13 +194,13 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
     past ``timesteps`` only the IF stages run on, so the rest describes that step.
     """
     stages = snn.if_stages
-    prefix_scores, out, step_masks = None, None, []
-    for b, (n, block) in enumerate(blocks(x)):
-        rows = slice(b * BLOCK_ROWS, b * BLOCK_ROWS + n)
+    k = len(stages)
+
+    def run_block(n, block, *block_masks):
         # Potentials and counts start as scalars and become arrays on the
         # first step by broadcasting, so no shape probe is needed.
         v = [0.5 * stage.theta for stage in stages]
-        counts = [0] * len(v)
+        counts, prefix, step_masks = [0] * k, [], []
         # Under direct coding stage 0's input current is the same at every step.
         current0 = snn.stages[0].apply(block)
         for t in range(max(timesteps, mask_step)):
@@ -236,25 +211,25 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = No
                 v[i], fired = if_step(v[i], current, stage.theta)
                 s = fired.astype(np.float64)
                 if masks is not None:
-                    s[:n] *= masks[i][rows]
+                    s *= block_masks[i]
                 if trace is not None:
                     trace.record(i, t + 1, u[:n], s[:n], v[i][:n])
                 if t < timesteps:
                     counts[i] += s
-                if t < timesteps or i + 1 < len(stages):
+                if t < timesteps or i + 1 < k:
                     current = snn.stages[i + 1].apply(stage.theta * s)
             if t < timesteps:
                 score_sum = current if t == 0 else score_sum + current
-                if prefix_scores is None:
-                    prefix_scores = np.empty((timesteps, len(x), *current.shape[1:]))
-                prefix_scores[t, rows] = score_sum[:n] / (t + 1)
+                prefix.append(score_sum / (t + 1))
             if t + 1 == timesteps:
                 v_final = list(v)
             if t + 1 == mask_step:
                 step_masks = [(vi >= 0.0).astype(np.float64) for vi in v]
         phi = [stage.theta * (c / timesteps) for stage, c in zip(stages, counts)]
-        out = _put_rows(out, len(x), b, n, phi + v_final + step_masks)
-    k = len(stages)
+        return [np.stack(prefix, axis=1), *phi, *v_final, *step_masks]
+
+    prefix_scores, *out = map_blocks(run_block, x, *(masks or []))
+    prefix_scores = prefix_scores.swapaxes(0, 1)
     return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=out[:k],
                      v_final=out[k:2 * k], masks=out[2 * k:] if mask_step else masks)
 
@@ -326,11 +301,13 @@ def snn_forced_phi(snn: SnnNetwork, x: np.ndarray, timesteps: int):
     Returns ``(scores, phi_per_stage)``.
     """
     x = _checked_input(snn, x, timesteps=timesteps)
-    out = None
-    for b, (n, cur) in enumerate(blocks(x)):
+
+    def forced_block(n, cur):
         phis = []
         for stage in snn.if_stages:
             cur = constant_current_phi(stage.apply(cur), stage.theta, timesteps)
             phis.append(cur)
-        out = _put_rows(out, len(x), b, n, [snn.stages[-1].apply(cur), *phis])
-    return out[0], out[1:]
+        return [snn.stages[-1].apply(cur), *phis]
+
+    scores, *phis = map_blocks(forced_block, x)
+    return scores, phis

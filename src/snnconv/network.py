@@ -21,10 +21,15 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .activation import qcfs
-from .errors import ParameterError, ShapeError
+from .errors import DataValidationError, ParameterError, ShapeError
 
 WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "avgpool2d", "flatten")
+
+# Rows per block of every batched forward.  BLAS ``matmul`` (dense layers)
+# gives a row other bits at up to 128 rows; at 256 every row gets a large
+# batch's bits.
+BLOCK_ROWS = 256
 
 
 @dataclass
@@ -280,6 +285,34 @@ def layer_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray):
 
 # ---------------------------------------------------------------------------
 # whole-network forward
+
+
+def map_blocks(fn, *arrays) -> list:
+    """Apply ``fn(n, *blocks)`` to ``arrays`` ``BLOCK_ROWS`` rows at a time.
+
+    Each block holds the next ``n <= BLOCK_ROWS`` rows of every array, the
+    last one zero-padded, so a sample's bits do not depend on the samples
+    with it.  ``fn`` returns a sequence of arrays with rows on axis 0; their
+    first ``n`` rows go into outputs allocated at the first block, and a
+    block's outputs are freed before the next block runs.  Input with no
+    rows is a :class:`DataValidationError`.
+    """
+    total = len(arrays[0])
+    if total == 0:
+        raise DataValidationError("input has no samples")
+    out = None
+    for start in range(0, total, BLOCK_ROWS):
+        n = min(BLOCK_ROWS, total - start)
+        blocks = [np.zeros((BLOCK_ROWS, *a.shape[1:]), dtype=a.dtype) for a in arrays]
+        for block, a in zip(blocks, arrays):
+            block[:n] = a[start:start + n]
+        parts = fn(n, *blocks)
+        if out is None:
+            out = [np.empty((total, *part.shape[1:]), dtype=part.dtype) for part in parts]
+        for array, part in zip(out, parts):
+            array[start:start + n] = part[:n]
+        del parts, part
+    return out
 
 
 def ann_forward(net: NetworkSpec, x: np.ndarray):

@@ -17,10 +17,9 @@ import numpy as np
 
 from .activation import qcfs_backward
 from .errors import ParameterError, ShapeError, TrainingDivergenceError
-from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward
+from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
 
 LAM_FLOOR = 1e-3
-ACCURACY_BATCH = 256
 
 
 @dataclass
@@ -138,11 +137,8 @@ def prepare_inputs(images: np.ndarray, input_shape: tuple) -> np.ndarray:
 
 def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray) -> float:
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
-    correct = 0
-    for start in range(0, x.shape[0], ACCURACY_BATCH):
-        logits, _ = ann_forward(net, x[start:start + ACCURACY_BATCH])
-        correct += int(np.sum(np.argmax(logits, axis=1) == labels[start:start + ACCURACY_BATCH]))
-    return correct / x.shape[0]
+    (logits,) = map_blocks(lambda n, block: [ann_forward(net, block)[0]], x)
+    return int(np.sum(np.argmax(logits, axis=1) == labels)) / x.shape[0]
 
 
 @dataclass

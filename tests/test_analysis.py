@@ -7,6 +7,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snnconv import analysis
+from snnconv.activation import qcfs
 from snnconv.analysis import (
     ALL_CASES,
     EPS_DEFAULT,
@@ -183,6 +184,31 @@ class TestDistributions:
             snn, x, phi).layers[-1].fractions
 
 
+class TestBatchInvariance:
+    @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
+    def test_reports(self, request, monkeypatch, fixture):
+        # A sample's pre-activations, and so its ANN levels, cases and errors,
+        # come out the same alone, inside an odd slice and in the full set.
+        frozen = request.getfixturevalue(fixture)
+        snn, x = frozen["snn"], frozen["x_test"]
+        phi = snn_simulate(snn, x, 2).phi
+        seen = []
+        monkeypatch.setattr(analysis, "qcfs",
+                            lambda pre, *rest: seen.append(pre) or qcfs(pre, *rest))
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            seen.clear()
+            report(snn, x, phi)
+            full = list(seen)
+            for rows in (slice(0, 1), slice(5, 42)):
+                seen.clear()
+                got = report(snn, x[rows], [p[rows] for p in phi])
+                for i, stage in enumerate(snn.if_stages):
+                    assert np.array_equal(seen[i], full[i][rows])
+                    a = qcfs(full[i][rows], stage.theta, snn.quant_steps)
+                    assert got.layers[i] == analysis._layer_stats(i, a, phi[i][rows],
+                                                                  stage.theta)
+
+
 class TestEmptyInput:
     def test_reports_reject_no_samples(self, rng):
         snn = convert(random_dense_net(rng, 4))
@@ -324,6 +350,11 @@ class TestTheoremEnumeration:
         total, failures = random_theorem_sweep(10, (2, 4), seed=3)
         assert total > 0
         assert failures == []
+
+    @pytest.mark.parametrize("draws", [0, -4])
+    def test_sweep_needs_draws(self, draws):
+        with pytest.raises(ParameterError, match="draws"):
+            random_theorem_sweep(draws, (2, 4))
 
     def test_sweep_deterministic(self):
         a = random_theorem_sweep(5, (3,), seed=11)

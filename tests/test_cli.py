@@ -21,8 +21,8 @@ from snnconv.cli import (
     parse_config_file,
 )
 from snnconv.datasets import DatasetHandle, write_csv_dataset
-from snnconv.engine import BLOCK_ROWS
 from snnconv.errors import ParameterError
+from snnconv.network import BLOCK_ROWS
 
 
 def read_metrics(path) -> list:
@@ -71,6 +71,13 @@ class TestMakeData:
 
     def test_out_required(self):
         assert main(["make-data"]) == EXIT_CONFIG
+
+    @pytest.mark.parametrize("flags", [["--train-count", "-1"],
+                                       ["--train-count", "4", "--test-count", "-1"],
+                                       ["--noise", "-1"]])
+    def test_bad_count_or_noise(self, tmp_path, flags):
+        assert main(["make-data", "--out", str(tmp_path / "data"), *flags]) == EXIT_CONFIG
+        assert not (tmp_path / "data").exists()
 
 
 class TestTrainConvert:
@@ -302,6 +309,36 @@ class TestEval:
         assert code == EXIT_DATA
 
 
+class TestLimit:
+    @pytest.mark.parametrize("limit", ["-45", "0"])
+    @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
+    def test_limit_below_one(self, workspace, tmp_path, command, limit, capsys):
+        out = tmp_path / "out"
+        model = [] if command == "train" else ["--model", str(workspace["snn"])]
+        code = main([command, *model, "--data", str(workspace["data"]),
+                     "--limit", limit, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "--limit" in capsys.readouterr().err
+        assert not out.exists()
+
+
+class TestSeed:
+    @pytest.mark.parametrize("command", ["convert", "eval", "analyze"])
+    def test_commands_without_seed(self, workspace, tmp_path, command):
+        # only make-data, train and verify-theorem draw random numbers
+        out = tmp_path / "out"
+        args = [command, "--model", str(workspace["snn"]), "--out", str(out)]
+        if command != "convert":
+            args += ["--data", str(workspace["data"])]
+        with pytest.raises(SystemExit) as err:
+            main(args + ["--seed", "99"])
+        assert err.value.code == 2
+        cfg = tmp_path / "run.cfg"
+        cfg.write_text("seed=99\n")
+        assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
+        assert not out.exists()
+
+
 class TestAnalyze:
     def test_reports_written(self, workspace, tmp_path):
         out = tmp_path / "analysis"
@@ -411,6 +448,14 @@ class TestVerifyTheorem:
         code = main(["verify-theorem", "--timesteps", "2", "--draws", "3", f"--theta={theta}"])
         assert code == EXIT_CONFIG
         assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("draws", ["0", "-4"])
+    def test_sweep_needs_draws(self, tmp_path, draws, capsys):
+        out = tmp_path / "sweep.json"
+        code = main(["verify-theorem", "--draws", draws, "--out", str(out)])
+        assert code == EXIT_CONFIG
+        assert "draws" in capsys.readouterr().err
+        assert not out.exists()
 
     def test_sweep_accepts_default_theta(self):
         code = main(["verify-theorem", "--timesteps", "2", "--draws", "3", "--theta=1.0"])

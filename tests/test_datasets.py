@@ -17,7 +17,7 @@ from snnconv.datasets import (
     write_idx_images,
     write_idx_labels,
 )
-from snnconv.errors import DataFormatError, DataValidationError
+from snnconv.errors import DataFormatError, DataValidationError, ParameterError
 
 
 def pack_images(path, pixels, rows=28, cols=28, magic=0x00000803):
@@ -241,6 +241,12 @@ class TestSyntheticDigits:
         pred = np.argmax(flat @ templates.T
                          - 0.5 * np.sum(templates ** 2, axis=1), axis=1)
         assert np.mean(pred == handle.labels) > 0.9
+
+    @pytest.mark.parametrize("kwargs", [{"n": -1}, {"n": 4, "noise": -1.0},
+                                        {"n": 4, "noise": float("nan")}])
+    def test_bad_count_or_noise(self, kwargs):
+        with pytest.raises(ParameterError):
+            synthetic_digits(**kwargs)
 
     def test_handle_subset(self):
         handle = synthetic_digits(10, seed=0)

@@ -1,4 +1,5 @@
 import csv
+import weakref
 
 import numpy as np
 import pytest
@@ -6,10 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from snnconv.activation import qcfs
 from snnconv.engine import (
-    BLOCK_ROWS,
     TraceRecorder,
     _run,
-    blocks,
     constant_current_phi,
     convert,
     even_timing_phi,
@@ -20,7 +19,7 @@ from snnconv.engine import (
     srp_inference,
 )
 from snnconv.errors import ConversionError, DataValidationError, ParameterError, ShapeError
-from snnconv.network import ann_forward, cnn_preset, mlp_preset
+from snnconv.network import BLOCK_ROWS, ann_forward, cnn_preset, map_blocks, mlp_preset
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
 
@@ -274,11 +273,32 @@ def assert_same_run(a, b, rows=slice(None)):
 class TestBlocks:
     def test_zero_padded_blocks(self, rng):
         x = rng.normal(size=(BLOCK_ROWS + 3, 2, 2))
-        (n0, b0), (n1, b1) = blocks(x)
+        seen = []
+
+        def keep(n, block):
+            seen.append((n, block.copy()))
+            return [-block]
+
+        (out,) = map_blocks(keep, x)
+        assert np.array_equal(out, -x)
+        (n0, b0), (n1, b1) = seen
         assert (n0, n1) == (BLOCK_ROWS, 3)
         assert b0.shape == b1.shape == (BLOCK_ROWS, 2, 2)
         assert np.array_equal(b0, x[:BLOCK_ROWS]) and np.array_equal(b1[:3], x[BLOCK_ROWS:])
         assert not b1[3:].any()
+
+    def test_block_outputs_freed_before_next_block(self, rng):
+        # outputs hold only the real rows, so a block's own arrays can go
+        alive = []
+
+        def fn(n, block):
+            assert [ref() for ref in alive] == [None] * len(alive)
+            out = 2 * block
+            alive.append(weakref.ref(out))
+            return [out]
+
+        (out,) = map_blocks(fn, rng.normal(size=(2 * BLOCK_ROWS + 1, 3)))
+        assert len(alive) == 3 and out.shape == (2 * BLOCK_ROWS + 1, 3)
 
     @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
     def test_batch_invariance(self, request, fixture):

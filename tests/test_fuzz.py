@@ -126,8 +126,8 @@ def test_header_length_field(workspace, length):
 # values stay small so an accepted config runs in milliseconds, and carry no
 # path separator so any output path lands in the example's own directory.
 eval_keys = st.sampled_from(["model", "data", "split", "timesteps", "tau", "srp",
-                             "even_timing", "limit", "trace", "trace_sample", "seed", "out"])
-other_keys = (st.sampled_from(["config", "epochs", "draws", "trace-sample"])
+                             "even_timing", "limit", "trace", "trace_sample", "out"])
+other_keys = (st.sampled_from(["config", "epochs", "draws", "trace-sample", "seed"])
               | st.text(string.ascii_letters + "_-", min_size=1, max_size=8))
 config_values = (
     st.integers(-3, 12).map(str)

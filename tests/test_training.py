@@ -3,8 +3,9 @@ import math
 import numpy as np
 import pytest
 
+from snnconv import training
 from snnconv.errors import ParameterError, ShapeError, TrainingDivergenceError
-from snnconv.network import NetworkSpec, mlp_preset
+from snnconv.network import NetworkSpec, ann_forward, mlp_preset
 from snnconv.training import (
     LAM_FLOOR,
     TrainConfig,
@@ -250,3 +251,29 @@ class TestFrozenModels:
     def test_cnn_reaches_target(self, frozen_cnn):
         acc = accuracy(frozen_cnn["net"], frozen_cnn["x_test"], frozen_cnn["y_test"])
         assert acc >= 0.90
+
+    @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
+    def test_accuracy_batch_invariance(self, request, monkeypatch, fixture):
+        # The logits accuracy counts give a sample the same bits alone,
+        # inside an odd slice and in the full set.
+        frozen = request.getfixturevalue(fixture)
+        net, x, y = frozen["net"], frozen["x_test"], frozen["y_test"]
+        calls = []
+
+        def spy(net, block):
+            logits, record = ann_forward(net, block)
+            calls.append(logits)
+            return logits, record
+
+        monkeypatch.setattr(training, "ann_forward", spy)
+
+        def logits_of(rows):
+            calls.clear()
+            acc = accuracy(net, x[rows], y[rows])
+            logits = np.concatenate(calls)[:len(y[rows])]
+            assert acc == np.mean(np.argmax(logits, axis=1) == y[rows])
+            return logits
+
+        full = logits_of(slice(None))
+        for rows in (slice(0, 1), slice(5, 42)):
+            assert np.array_equal(logits_of(rows), full[rows])

@@ -28,16 +28,21 @@ def _check_params(lam, steps) -> None:
         raise ParameterError(f"quantization steps must be a positive integer, got {steps}")
 
 
+def qcfs_level(y, lam: float, steps: int):
+    """The grid index ``k = clip(floor(y * steps / lam + 1/2), 0, steps)`` of
+    :func:`qcfs`, elementwise, as whole floats."""
+    _check_params(lam, steps)
+    y = np.asarray(y, dtype=np.float64)
+    return np.clip(np.floor(y * steps / lam + 0.5), 0, steps)
+
+
 def qcfs(y, lam: float, steps: int):
     """Apply the quantized clip-floor-shift activation elementwise.
 
     Accepts scalars or arrays; returns the same shape.  Output values are
-    exactly of the form k * lam / steps with integer k in [0, steps].
+    exactly ``lam * (k / steps)`` with ``k = qcfs_level(y, lam, steps)``.
     """
-    _check_params(lam, steps)
-    y = np.asarray(y, dtype=np.float64)
-    z = np.floor(y * steps / lam + 0.5)
-    return lam * np.clip(z / steps, 0.0, 1.0)
+    return lam * (qcfs_level(y, lam, steps) / steps)
 
 
 def qcfs_backward(y, lam: float, steps: int, upstream):

@@ -32,14 +32,15 @@ import csv
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
+from functools import partial
 from itertools import combinations
 
 import numpy as np
 
-from .activation import qcfs
+from .activation import qcfs_level
 from .engine import SnnNetwork, if_scan
 from .errors import ParameterError
 from .network import map_blocks
@@ -108,42 +109,63 @@ class ErrorReport:
     layers: list = field(default_factory=list)
 
 
-def _layer_stats(index: int, a: np.ndarray, phi: np.ndarray, lam: float) -> LayerErrorStats:
-    codes = classify_cases(a, phi, lam)
-    total = codes.size
-    fractions = {case.value: float(np.count_nonzero(codes == i) / total)
-                 for i, case in enumerate(ALL_CASES)}
-    err = np.abs(phi - a)
-    return LayerErrorStats(layer=index, units=total, fractions=fractions,
-                           mean_abs_err=float(err.mean()), max_abs_err=float(err.max()))
+def _phi(stage, phi: np.ndarray, timesteps) -> np.ndarray:
+    """A stage's ``phi``, from its spike counts when ``timesteps`` is given."""
+    return phi if timesteps is None else stage.theta * (phi / timesteps)
 
 
-def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
+def _tally(snn: SnnNetwork, error_type: str, timesteps, n: int, block, *phi) -> list:
+    """One block's rows: per IF stage, the level ``k`` of the ANN activation
+    ``a = theta * (k / L)`` and each row's count of every case."""
+    steps, rows, prev = snn.quant_steps, [], block
+    for stage, p in zip(snn.if_stages, phi):
+        p, level = _phi(stage, p, timesteps), qcfs_level(stage.apply(prev), stage.theta, steps)
+        a = stage.theta * (level / steps)
+        codes = classify_cases(a, p, stage.theta).reshape(len(p), -1)
+        rows += [level.astype(np.min_scalar_type(steps)), np.stack(
+            [np.count_nonzero(codes == c, axis=1) for c in range(len(ALL_CASES))], axis=1)]
+        prev = p if error_type == "I" else a
+    return rows
+
+
+def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list,
+            timesteps: int | None) -> ErrorReport:
     """Compare every IF stage's ``phi`` with the quantized activation it
-    replaces; the next stage sees ``phi`` (Type I) or that activation (Type II)."""
+    replaces; the next stage sees ``phi`` (Type I) or that activation (Type II).
+    Blocks keep only integers; each stage's whole ``|phi - a|`` is then filled
+    in, one stage at a time, so its mean is numpy's over the same array."""
+    steps = snn.quant_steps
+    rows = map_blocks(partial(_tally, snn, error_type, timesteps),
+                      np.asarray(x, dtype=np.float64), *phi)
     report = ErrorReport(error_type=error_type)
-    prev = np.asarray(x, dtype=np.float64)
-    for i, stage in enumerate(snn.if_stages):
-        (pre,) = map_blocks(lambda n, block: [stage.apply(block)], prev)
-        a = qcfs(pre, stage.theta, snn.quant_steps)
-        report.layers.append(_layer_stats(i, a, phi[i], stage.theta))
-        prev = phi[i] if error_type == "I" else a
+    for i, (stage, level, cases) in enumerate(zip(snn.if_stages, rows[::2], rows[1::2])):
+        (err,) = map_blocks(lambda n, p, k: [np.abs(
+            _phi(stage, p, timesteps) - stage.theta * (k / steps))], phi[i], level)
+        counts = cases.sum(axis=0)
+        report.layers.append(LayerErrorStats(
+            layer=i, units=err.size, mean_abs_err=float(err.mean()),
+            max_abs_err=float(err.max()), fractions={
+                case.value: float(counts[c] / err.size) for c, case in enumerate(ALL_CASES)}))
     return report
 
 
-def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
+def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, phi: list,
+                              timesteps: int | None = None) -> ErrorReport:
     """Per-layer distribution of a run's ``phi`` with forced equal inputs.
 
     For each stage, the layer's ANN output is recomputed from the spiking
     average of the previous stage (stage 0 sees the raw input), so every
-    mismatch is generated inside that single stage.
+    mismatch is generated inside that single stage.  With ``timesteps``,
+    ``phi`` is the run's ``SimResult.counts`` instead.
     """
-    return _report("I", snn, x, phi)
+    return _report("I", snn, x, phi, timesteps)
 
 
-def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, phi: list) -> ErrorReport:
-    """Per-layer distribution of a run's ``phi`` against the ANN forward pass."""
-    return _report("II", snn, x, phi)
+def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, phi: list,
+                               timesteps: int | None = None) -> ErrorReport:
+    """Per-layer distribution of a run's ``phi`` against the ANN forward pass;
+    ``timesteps`` as in :func:`error_type_I_distribution`."""
+    return _report("II", snn, x, phi, timesteps)
 
 
 @dataclass
@@ -157,11 +179,11 @@ class SrpEffect:
                 for a, b in zip(self.after.layers, self.before.layers)]
 
 
-def srp_effect_report(snn: SnnNetwork, x: np.ndarray, phi: list,
-                      before: ErrorReport) -> SrpEffect:
+def srp_effect_report(snn: SnnNetwork, x: np.ndarray, phi: list, before: ErrorReport,
+                      timesteps: int | None = None) -> SrpEffect:
     """Type II distributions without and with residual-potential masking:
     ``before`` is the plain run's report, ``phi`` the masked run's."""
-    return SrpEffect(before=before, after=_report("II", snn, x, phi))
+    return SrpEffect(before=before, after=_report("II", snn, x, phi, timesteps))
 
 
 # ---------------------------------------------------------------------------
@@ -185,19 +207,7 @@ def write_report_csv(report: ErrorReport, path) -> None:
 
 
 def report_summary(report: ErrorReport) -> dict:
-    return {
-        "error_type": report.error_type,
-        "layers": [
-            {
-                "layer": s.layer,
-                "units": s.units,
-                "fractions": s.fractions,
-                "mean_abs_err": s.mean_abs_err,
-                "max_abs_err": s.max_abs_err,
-            }
-            for s in report.layers
-        ],
-    }
+    return asdict(report)
 
 
 def plot_data(report: ErrorReport) -> dict:

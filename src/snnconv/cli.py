@@ -307,33 +307,32 @@ def cmd_eval(args) -> int:
 def cmd_analyze(args) -> int:
     _, snn, _, x = _load_model_and_data(args)
 
-    # One run feeds every report; an SRP run carries the plain run.
-    masked = srp_inference(snn, x, args.tau, args.timesteps) if args.srp else None
-    phi = (snn_simulate(snn, x, args.timesteps) if masked is None else masked.plain).phi
+    # As in eval, one block at a time; a block leaves only its runs' spike counts.
+    def block_counts(n, block):
+        run = (srp_inference(snn, block[:n], args.tau, args.timesteps) if args.srp
+               else snn_simulate(snn, block[:n], args.timesteps))
+        return (run.plain.counts if run.plain else []) + run.counts
+
+    counts = map_blocks(block_counts, x)
+    plain, masked = counts[:len(snn.if_stages)], counts[len(snn.if_stages):]
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
-        "type_I": error_type_I_distribution(snn, x, phi),
-        "type_II": error_type_II_distribution(snn, x, phi),
+        "type_I": error_type_I_distribution(snn, x, plain, args.timesteps),
+        "type_II": error_type_II_distribution(snn, x, plain, args.timesteps),
     }
     for name, report in reports.items():
-        csv_path = out_dir / f"{name}.csv"
-        json_path = out_dir / f"{name}.json"
-        write_report_csv(report, csv_path)
-        write_report_json(report, json_path)
-        print(f"wrote {csv_path}")
-        print(f"wrote {json_path}")
+        for path, write in ((out_dir / f"{name}.csv", write_report_csv),
+                            (out_dir / f"{name}.json", write_report_json)):
+            write(report, path)
+            print(f"wrote {path}")
 
     if args.srp:
-        effect = srp_effect_report(snn, x, masked.phi, before=reports["type_II"])
+        effect = srp_effect_report(snn, x, masked, reports["type_II"], args.timesteps)
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
-        payload = {
-            "tau": args.tau,
-            "timesteps": args.timesteps,
-            "before": report_summary(effect.before),
-            "after": report_summary(effect.after),
-        }
+        payload = {"tau": args.tau, "timesteps": args.timesteps,
+                   "before": report_summary(effect.before), "after": report_summary(effect.after)}
         with open(out_dir / "srp_effect.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {out_dir / 'srp_effect.json'}")

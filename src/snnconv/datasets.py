@@ -312,6 +312,8 @@ def materialize_idx(handle: DatasetHandle, directory, prefix: str) -> tuple:
 
 def standardization_stats(images: np.ndarray) -> tuple:
     """(mean, std) over the whole batch; std floored away from zero."""
+    if images.size == 0:
+        raise DataValidationError("no images to standardize")
     mean = float(images.mean())
     std = float(images.std())
     if std < 1e-8:

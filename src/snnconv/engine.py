@@ -21,7 +21,7 @@ precisely the signal the two-stage masking inference uses.
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -121,21 +121,29 @@ def if_scan(currents: np.ndarray, theta: float):
 class SimResult:
     """Outputs of a simulation run.
 
-    ``phi`` is the average postsynaptic potential per stage,
-    ``theta * emitted_count / T``; ``scores`` is the time-averaged
+    ``counts`` holds each IF stage's spikes per neuron as small integers, and
+    ``phi``, the average postsynaptic potential ``theta * (count / T)``, is
+    built from them on each read.  ``scores`` is the time-averaged
     pre-activation input to the classifier stage.  ``prefix_scores[t - 1]``
     is that average after the first ``t`` steps, bit-identical to the
     ``scores`` of a separate ``t``-step run (the same readouts are summed
     in the same order and divided by the same ``t``); ``scores`` is its
-    last entry.  An SRP run's ``plain`` is the plain run it took its masks from.
+    last entry.  An SRP run's boolean ``masks`` are true where a neuron
+    lives, and its ``plain`` is the plain run it took them from.
     """
 
     scores: np.ndarray
     prefix_scores: np.ndarray
-    phi: list
+    counts: list
     v_final: list
+    thetas: list
     masks: list | None = None
     plain: SimResult | None = None
+
+    @property
+    def phi(self) -> list:
+        timesteps = len(self.prefix_scores)
+        return [theta * (c / timesteps) for theta, c in zip(self.thetas, self.counts)]
 
 
 class TraceRecorder:
@@ -183,55 +191,69 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
     return x
 
 
-def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, masks: list | None = None,
-         trace: TraceRecorder | None = None, mask_step: int = 0) -> SimResult:
-    """Time loop shared by plain simulation and both SRP stages, block by block.
+def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, tau: int = 0,
+         trace: TraceRecorder | None = None) -> SimResult:
+    """Plain simulation and, with ``tau``, SRP, block by block; every stage
+    starts at ``theta/2``.  With ``tau`` the plain pass runs to step
+    ``max(timesteps, tau)`` and leaves its masks, ``v >= 0`` after step ``tau``.
+    The masks gate only the emitted spikes, not the membrane, so the masked
+    pass in the same block replays the plain pass's stage 0."""
+    thetas, k = snn.thetas, len(snn.if_stages)
 
-    Every stage starts at ``theta/2``.  With ``masks``, each stage's
-    emitted spikes are gated by its mask; the membrane still integrates and
-    resets on its own firings, only the transmitted spike is suppressed.
-    With ``mask_step`` the result's ``masks`` are ``v >= 0`` after that step;
-    past ``timesteps`` only the IF stages run on, so the rest describes that step.
-    """
-    stages = snn.if_stages
-    k = len(stages)
-
-    def run_block(n, block, *block_masks):
+    def time_loop(n, block, masks=None, fired0=None):
         # Potentials and counts start as scalars and become arrays on the
         # first step by broadcasting, so no shape probe is needed.
-        v = [0.5 * stage.theta for stage in stages]
-        counts, prefix, step_masks = [0] * k, [], []
+        v = [0.5 * theta for theta in thetas]
+        counts, prefix, step_masks, firings = [0] * k, [], [], []
         # Under direct coding stage 0's input current is the same at every step.
-        current0 = snn.stages[0].apply(block)
-        for t in range(max(timesteps, mask_step)):
+        current0 = None if masks else snn.stages[0].apply(block)
+        for t in range(timesteps if masks is not None else max(timesteps, tau)):
             current = current0
-            for i, stage in enumerate(stages):
-                if trace is not None:
-                    u = v[i] + current
-                v[i], fired = if_step(v[i], current, stage.theta)
-                s = fired.astype(np.float64)
-                if masks is not None:
-                    s *= block_masks[i]
-                if trace is not None:
-                    trace.record(i, t + 1, u[:n], s[:n], v[i][:n])
+            for i, theta in enumerate(thetas):
+                if i == 0 and masks:
+                    fired = fired0[t]
+                else:
+                    if trace is not None:
+                        u = v[i] + current
+                    v[i], fired = if_step(v[i], current, theta)
+                    if trace is not None:
+                        trace.record(i, t + 1, u[:n], fired[:n].astype(np.float64), v[i][:n])
+                    if i == 0 and tau and t < timesteps:
+                        firings.append(fired)
+                s = fired if masks is None else fired & masks[i]
                 if t < timesteps:
                     counts[i] += s
                 if t < timesteps or i + 1 < k:
-                    current = snn.stages[i + 1].apply(stage.theta * s)
+                    current = snn.stages[i + 1].apply(theta * s)
             if t < timesteps:
                 score_sum = current if t == 0 else score_sum + current
                 prefix.append(score_sum / (t + 1))
             if t + 1 == timesteps:
                 v_final = list(v)
-            if t + 1 == mask_step:
-                step_masks = [(vi >= 0.0).astype(np.float64) for vi in v]
-        phi = [stage.theta * (c / timesteps) for stage, c in zip(stages, counts)]
-        return [np.stack(prefix, axis=1), *phi, *v_final, *step_masks]
+            if t + 1 == tau and masks is None:
+                step_masks = [vi >= 0.0 for vi in v]
+        counts = [c.astype(np.min_scalar_type(timesteps)) for c in counts]
+        return np.stack(prefix, axis=1), counts, v_final, step_masks, firings
 
-    prefix_scores, *out = map_blocks(run_block, x, *(masks or []))
-    prefix_scores = prefix_scores.swapaxes(0, 1)
-    return SimResult(scores=prefix_scores[-1], prefix_scores=prefix_scores, phi=out[:k],
-                     v_final=out[k:2 * k], masks=out[2 * k:] if mask_step else masks)
+    def run_block(n, block):
+        prefix, counts, v_final, masks, firings = time_loop(n, block)
+        out = [prefix, *counts, *v_final]
+        if tau:
+            prefix, counts, v_final, _, _ = time_loop(n, block, masks, firings)
+            # the masked pass's v_final[0] is the plain pass's
+            out += [*masks, prefix, *counts, *v_final[1:]]
+        return out
+
+    def result(prefix, counts, v_final, **more):
+        prefix = prefix.swapaxes(0, 1)
+        return SimResult(prefix[-1], prefix, counts, v_final, thetas, **more)
+
+    out = map_blocks(run_block, x)
+    plain = result(out[0], out[1:k + 1], out[k + 1:2 * k + 1])
+    if not tau:
+        return plain
+    masks, (prefix, *rest) = out[2 * k + 1:3 * k + 1], out[3 * k + 1:]
+    return result(prefix, rest[:k], plain.v_final[:1] + rest[k:], masks=masks, plain=plain)
 
 
 def snn_simulate(snn: SnnNetwork, x: np.ndarray, timesteps: int,
@@ -254,12 +276,11 @@ def srp_inference(snn: SnnNetwork, x: np.ndarray, tau: int, timesteps: int) -> S
     output gated by its mask.  Stage-1 spikes are discarded; only the masks
     survive into stage 2.  The masks depend on ``tau`` alone, so
     ``prefix_scores`` gives every shorter stage 2 as well.  Stage 1 is the start
-    of the result's ``plain`` run, bit-identical to ``snn_simulate(snn, x, timesteps)``.
+    of the result's ``plain`` run, bit-identical to ``snn_simulate(snn, x, timesteps)``,
+    and both passes run one block at a time.
     """
     x = _checked_input(snn, x, tau=tau, timesteps=timesteps)
-    plain = _run(snn, x, timesteps, mask_step=tau)
-    masks, plain.masks = plain.masks, None
-    return replace(_run(snn, x, timesteps, masks=masks), plain=plain)
+    return _run(snn, x, timesteps, tau=tau)
 
 
 # ---------------------------------------------------------------------------

@@ -292,10 +292,11 @@ def map_blocks(fn, *arrays) -> list:
 
     Each block holds the next ``n <= BLOCK_ROWS`` rows of every array, the
     last one zero-padded, so a sample's bits do not depend on the samples
-    with it.  ``fn`` returns a sequence of arrays with rows on axis 0; their
-    first ``n`` rows go into outputs allocated at the first block, and a
-    block's outputs are freed before the next block runs.  Input with no
-    rows is a :class:`DataValidationError`.
+    with it.  ``fn`` never writes its blocks: a full block is a view.  ``fn``
+    returns a sequence of arrays with rows on axis 0; their first ``n`` rows
+    go into outputs allocated at the first block, and a block's outputs are
+    freed before the next block runs.  Input with no rows is a
+    :class:`DataValidationError`.
     """
     total = len(arrays[0])
     if total == 0:
@@ -303,9 +304,9 @@ def map_blocks(fn, *arrays) -> list:
     out = None
     for start in range(0, total, BLOCK_ROWS):
         n = min(BLOCK_ROWS, total - start)
-        blocks = [np.zeros((BLOCK_ROWS, *a.shape[1:]), dtype=a.dtype) for a in arrays]
-        for block, a in zip(blocks, arrays):
-            block[:n] = a[start:start + n]
+        blocks = [np.ascontiguousarray(a[start:start + n]) if n == BLOCK_ROWS else
+                  np.pad(a[start:start + n], [(0, BLOCK_ROWS - n)] + [(0, 0)] * (a.ndim - 1))
+                  for a in arrays]
         parts = fn(n, *blocks)
         if out is None:
             out = [np.empty((total, *part.shape[1:]), dtype=part.dtype) for part in parts]

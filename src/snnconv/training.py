@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import qcfs_backward
-from .errors import ParameterError, ShapeError, TrainingDivergenceError
+from .errors import DataValidationError, ParameterError, ShapeError, TrainingDivergenceError
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
 
 LAM_FLOOR = 1e-3
@@ -158,6 +158,8 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
     """
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     labels = np.asarray(labels)
+    if len(x) == 0:
+        raise DataValidationError("training set has no samples")
     classes = net.layers[-1].weights.shape[0] if net.layers[-1].kind == "dense" else None
     if classes is not None and (labels.min() < 0 or labels.max() >= classes):
         raise ParameterError(f"labels out of range for {classes} classes")

@@ -7,10 +7,11 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from snnconv import analysis
-from snnconv.activation import qcfs
+from snnconv.activation import qcfs, qcfs_level
 from snnconv.analysis import (
     ALL_CASES,
     EPS_DEFAULT,
+    LayerErrorStats,
     MAX_ENUM_TIMESTEPS,
     MAX_PRESYN,
     TheoremVerdict,
@@ -31,7 +32,7 @@ from snnconv.analysis import (
 )
 from snnconv.engine import convert, snn_simulate, srp_inference
 from snnconv.errors import DataValidationError, ParameterError
-from snnconv.network import ann_forward
+from snnconv.network import ann_forward, map_blocks
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
 
@@ -184,6 +185,16 @@ class TestDistributions:
             snn, x, phi).layers[-1].fractions
 
 
+def reference_stats(layer, a, phi, lam):
+    """One stage's statistics computed on whole-split arrays."""
+    codes = classify_cases(a, phi, lam)
+    fractions = {case.value: float(np.count_nonzero(codes == i) / codes.size)
+                 for i, case in enumerate(ALL_CASES)}
+    err = np.abs(phi - a)
+    return LayerErrorStats(layer=layer, units=codes.size, fractions=fractions,
+                           mean_abs_err=float(err.mean()), max_abs_err=float(err.max()))
+
+
 class TestBatchInvariance:
     @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
     def test_reports(self, request, monkeypatch, fixture):
@@ -192,21 +203,55 @@ class TestBatchInvariance:
         frozen = request.getfixturevalue(fixture)
         snn, x = frozen["snn"], frozen["x_test"]
         phi = snn_simulate(snn, x, 2).phi
+        k = len(snn.if_stages)
         seen = []
-        monkeypatch.setattr(analysis, "qcfs",
-                            lambda pre, *rest: seen.append(pre) or qcfs(pre, *rest))
+        monkeypatch.setattr(analysis, "qcfs_level",
+                            lambda pre, *rest: seen.append(pre) or qcfs_level(pre, *rest))
+
+        def pre_activations(count):
+            # each block's stages in turn, one padded block after another
+            return [np.concatenate(seen[i::k])[:count] for i in range(k)]
+
         for report in (error_type_I_distribution, error_type_II_distribution):
             seen.clear()
             report(snn, x, phi)
-            full = list(seen)
+            full = pre_activations(len(x))
             for rows in (slice(0, 1), slice(5, 42)):
                 seen.clear()
                 got = report(snn, x[rows], [p[rows] for p in phi])
-                for i, stage in enumerate(snn.if_stages):
-                    assert np.array_equal(seen[i], full[i][rows])
+                for i, (pre, stage) in enumerate(zip(pre_activations(len(x[rows])),
+                                                     snn.if_stages)):
+                    assert np.array_equal(pre, full[i][rows])
                     a = qcfs(full[i][rows], stage.theta, snn.quant_steps)
-                    assert got.layers[i] == analysis._layer_stats(i, a, phi[i][rows],
-                                                                  stage.theta)
+                    assert got.layers[i] == reference_stats(i, a, phi[i][rows], stage.theta)
+
+
+class TestExactness:
+    """Reports built block by block, and from spike counts, equal the
+    statistics of whole-split arrays bit for bit."""
+
+    @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
+    def test_reports_match_whole_split_reference(self, request, fixture):
+        frozen = request.getfixturevalue(fixture)
+        # 300 samples span two blocks
+        snn, x, timesteps = frozen["snn"], frozen["x_test"][:300], 4
+        masked = srp_inference(snn, x, 4, timesteps)
+        plain_II = error_type_II_distribution(snn, x, masked.plain.phi)
+        # Type I and Type II of the plain run, and SRP-after: Type II of the masked run
+        for error_type, run in (("I", masked.plain), ("II", masked.plain), ("II", masked)):
+            want, prev = [], x
+            for i, (stage, phi) in enumerate(zip(snn.if_stages, run.phi)):
+                (pre,) = map_blocks(lambda n, block: [stage.apply(block)], prev)
+                a = qcfs(pre, stage.theta, snn.quant_steps)
+                want.append(reference_stats(i, a, phi, stage.theta))
+                prev = phi if error_type == "I" else a
+            report = (error_type_I_distribution if error_type == "I"
+                      else error_type_II_distribution)
+            assert report(snn, x, run.phi).layers == want
+            assert report(snn, x, run.counts, timesteps).layers == want
+        # the last reference is SRP-after's
+        effect = srp_effect_report(snn, x, masked.counts, plain_II, timesteps)
+        assert effect.before is plain_II and effect.after.layers == want
 
 
 class TestEmptyInput:

@@ -127,6 +127,16 @@ class TestTrainConvert:
                      "--timesteps", "2", "--out", str(summary)]) == EXIT_OK
         assert summary.exists()
 
+    def test_empty_train_split_is_data_error(self, tmp_path, capsys):
+        data, model = tmp_path / "data", tmp_path / "m.ckpt"
+        assert main(["make-data", "--out", str(data), "--train-count", "0",
+                     "--test-count", "3"]) == EXIT_OK
+        capsys.readouterr()
+        assert main(["train", "--data", str(data), "--out", str(model)]) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not model.exists()
+
     def test_csv_dataset_route(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (40, 1, 28, 28)) / 255.0
@@ -170,21 +180,27 @@ def cnn_workspace(tmp_path_factory):
     return {"data": data, "model": model}
 
 
+def traced_peaks(command: list, out) -> list:
+    """tracemalloc peak of ``command`` on one block of samples and on four."""
+    peaks = []
+    for limit in (BLOCK_ROWS, 4 * BLOCK_ROWS):
+        tracemalloc.start()
+        try:
+            code = main([*command, "--limit", str(limit), "--out", str(out(limit))])
+            peaks.append(tracemalloc.get_traced_memory()[1])
+        finally:
+            tracemalloc.stop()
+        assert code == EXIT_OK
+    return peaks
+
+
 class TestEval:
     def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):
         # eval keeps only scores and simulates one block at a time, so four
         # blocks of samples cost about what one block does
-        peaks = []
-        for limit in (BLOCK_ROWS, 4 * BLOCK_ROWS):
-            tracemalloc.start()
-            try:
-                code = main(["eval", "--model", str(cnn_workspace["model"]),
-                             "--data", str(cnn_workspace["data"]), "--srp",
-                             "--limit", str(limit), "--out", str(tmp_path / f"{limit}.csv")])
-                peaks.append(tracemalloc.get_traced_memory()[1])
-            finally:
-                tracemalloc.stop()
-            assert code == EXIT_OK
+        peaks = traced_peaks(["eval", "--model", str(cnn_workspace["model"]),
+                              "--data", str(cnn_workspace["data"]), "--srp"],
+                             lambda limit: tmp_path / f"{limit}.csv")
         assert peaks[1] <= 1.25 * peaks[0], peaks
 
     def test_metrics_csv_round_trip(self, workspace, tmp_path):
@@ -340,6 +356,14 @@ class TestSeed:
 
 
 class TestAnalyze:
+    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):
+        # analyze keeps spike counts and levels as small integers, not floats
+        peaks = traced_peaks(["analyze", "--model", str(cnn_workspace["model"]),
+                              "--data", str(cnn_workspace["data"]), "--srp",
+                              "--timesteps", "4"],
+                             lambda limit: tmp_path / f"analysis-{limit}")
+        assert peaks[1] <= 1.25 * peaks[0], peaks
+
     def test_reports_written(self, workspace, tmp_path):
         out = tmp_path / "analysis"
         code = main(["analyze", "--model", str(workspace["model"]),

@@ -7,8 +7,8 @@ from hypothesis import example, given, settings, strategies as st
 
 from snnconv.activation import qcfs
 from snnconv.engine import (
+    SimResult,
     TraceRecorder,
-    _run,
     constant_current_phi,
     convert,
     even_timing_phi,
@@ -287,6 +287,12 @@ class TestBlocks:
         assert np.array_equal(b0, x[:BLOCK_ROWS]) and np.array_equal(b1[:3], x[BLOCK_ROWS:])
         assert not b1[3:].any()
 
+    def test_full_blocks_are_views(self, rng):
+        x = rng.normal(size=(BLOCK_ROWS + 3, 2))
+        shared = []
+        map_blocks(lambda n, block: shared.append(np.shares_memory(block, x)) or [block], x)
+        assert shared == [True, False]
+
     def test_block_outputs_freed_before_next_block(self, rng):
         # outputs hold only the real rows, so a block's own arrays can go
         alive = []
@@ -320,20 +326,43 @@ class TestBlocks:
 
 
 def reference_srp(snn, x, tau, timesteps):
-    """Two-pass SRP: a tau-step plain run for the masks, then the masked run."""
-    masks = [(v >= 0.0).astype(np.float64) for v in _run(snn, x, tau).v_final]
-    return _run(snn, x, timesteps, masks=masks)
+    """Two-pass SRP: a tau-step plain run for the masks, then a masked run
+    that simulates every stage again, block by block as the engine does."""
+    masks = [v >= 0.0 for v in snn_simulate(snn, x, tau).v_final]
+    stages = snn.if_stages
+
+    def masked_block(n, block, *block_masks):
+        v, counts, prefix = [0.5 * stage.theta for stage in stages], [0] * len(stages), []
+        current0 = snn.stages[0].apply(block)
+        for t in range(timesteps):
+            current = current0
+            for i, stage in enumerate(stages):
+                v[i], fired = if_step(v[i], current, stage.theta)
+                counts[i] += fired & block_masks[i]
+                current = snn.stages[i + 1].apply(stage.theta * (fired & block_masks[i]))
+            score_sum = current if t == 0 else score_sum + current
+            prefix.append(score_sum / (t + 1))
+        return [np.stack(prefix, axis=1), *counts, *v]
+
+    prefix, *out = map_blocks(masked_block, x, *masks)
+    prefix = prefix.swapaxes(0, 1)
+    k = len(stages)
+    return SimResult(prefix[-1], prefix, out[:k], out[k:], snn.thetas, masks=masks)
 
 
 class TestSharedStageOne:
-    @pytest.mark.parametrize("tau", [2, 5, 8])
-    def test_plain_run_and_masks_shared(self, frozen_mlp, tau):
+    @pytest.mark.parametrize("fixture,tau", [
+        pytest.param("frozen_mlp", 2, id="2"), pytest.param("frozen_mlp", 5, id="5"),
+        pytest.param("frozen_mlp", 8, id="8"), pytest.param("frozen_cnn", 5, id="cnn-5")])
+    def test_plain_run_and_masks_shared(self, request, fixture, tau):
         # 300 samples span two blocks; tau < T, tau == T and tau > T
-        snn, x, timesteps = frozen_mlp["snn"], frozen_mlp["x_test"][:300], 5
+        frozen = request.getfixturevalue(fixture)
+        snn, x, timesteps = frozen["snn"], frozen["x_test"][:300], 5
         res = srp_inference(snn, x, tau, timesteps)
         assert_same_run(res.plain, snn_simulate(snn, x, timesteps))
         assert_same_run(res, reference_srp(snn, x, tau, timesteps))
         assert res.plain.plain is None and res.masks is not None
+        assert all(m.dtype == bool for m in res.masks)
 
 
 class TestSrp:

@@ -10,8 +10,9 @@ network's average output ``phi`` splits into four cases by the value of
     case 3:  0 < a < lam   and phi < a
     case 4:  a == lam      and phi < a
 
-Both distributions read the converted network and the per-stage averages
-``phi`` of a run on ``x`` that the caller made: the network's stages share the
+Both distributions read the converted network and the per-stage spike
+counts of a run on ``x`` that the caller made, whose averages are
+``phi = theta * (count / T)``: the network's stages share the
 ANN's layer objects, so ``a = qcfs(stage.apply(prev))`` is the ANN's own
 activation.  Type I distributions feed each stage the spiking average of
 the previous stage, isolating the error a single layer generates; Type II
@@ -32,7 +33,7 @@ import csv
 import json
 import math
 from collections.abc import Sequence
-from dataclasses import asdict, dataclass, field
+from dataclasses import dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -42,7 +43,7 @@ import numpy as np
 
 from .activation import qcfs_level
 from .engine import SnnNetwork, if_scan
-from .errors import ParameterError
+from .errors import ParameterError, ShapeError
 from .network import map_blocks
 
 EPS_DEFAULT = 1e-6
@@ -109,63 +110,77 @@ class ErrorReport:
     layers: list = field(default_factory=list)
 
 
-def _phi(stage, phi: np.ndarray, timesteps) -> np.ndarray:
-    """A stage's ``phi``, from its spike counts when ``timesteps`` is given."""
-    return phi if timesteps is None else stage.theta * (phi / timesteps)
+def _case_rows(a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+    """Each row's count of every case, as ``(rows, len(ALL_CASES))``."""
+    codes = classify_cases(a, phi, lam).reshape(len(phi), -1)
+    return np.stack([np.count_nonzero(codes == j, axis=1) for j in range(len(ALL_CASES))],
+                    axis=1)
 
 
-def _tally(snn: SnnNetwork, error_type: str, timesteps, n: int, block, *phi) -> list:
+def _tally(snn: SnnNetwork, error_type: str, timesteps: int, n: int, block, *counts) -> list:
     """One block's rows: per IF stage, the level ``k`` of the ANN activation
-    ``a = theta * (k / L)`` and each row's count of every case."""
-    steps, rows, prev = snn.quant_steps, [], block
-    for stage, p in zip(snn.if_stages, phi):
-        p, level = _phi(stage, p, timesteps), qcfs_level(stage.apply(prev), stage.theta, steps)
+    ``a = theta * (k / L)`` and, for each run in ``counts``, each row's count
+    of every case.  ``counts`` holds every run's stages in turn."""
+    steps, k, rows, prev = snn.quant_steps, len(snn.if_stages), [], block
+    for i, stage in enumerate(snn.if_stages):
+        level = qcfs_level(stage.apply(prev), stage.theta, steps)
+        level = level.astype(np.min_scalar_type(steps))
         a = stage.theta * (level / steps)
-        codes = classify_cases(a, p, stage.theta).reshape(len(p), -1)
-        rows += [level.astype(np.min_scalar_type(steps)), np.stack(
-            [np.count_nonzero(codes == c, axis=1) for c in range(len(ALL_CASES))], axis=1)]
-        prev = p if error_type == "I" else a
+        rows.append(level)
+        # one call per run, so a run's float phi and codes go before the next
+        rows += [_case_rows(a, stage.theta * (c / timesteps), stage.theta)
+                 for c in counts[i::k]]
+        prev = stage.theta * (counts[i] / timesteps) if error_type == "I" else a
     return rows
 
 
-def _report(error_type: str, snn: SnnNetwork, x: np.ndarray, phi: list,
-            timesteps: int | None) -> ErrorReport:
-    """Compare every IF stage's ``phi`` with the quantized activation it
-    replaces; the next stage sees ``phi`` (Type I) or that activation (Type II).
-    Blocks keep only integers; each stage's whole ``|phi - a|`` is then filled
-    in, one stage at a time, so its mean is numpy's over the same array."""
-    steps = snn.quant_steps
+def _reports(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
+             *runs: list) -> list:
+    """One report per run: compare every IF stage's ``phi``, ``theta * (count / T)``
+    from the run's spike counts, with the quantized activation it replaces.
+    The next stage sees ``phi`` (Type I, one run) or that activation (Type II,
+    one chain for every run).  Blocks keep only integers; each stage's whole
+    ``|phi - a|`` is then filled in, one stage at a time, so its mean is
+    numpy's over the same array."""
+    steps, k = snn.quant_steps, len(snn.if_stages)
+    if any(len(run) != k for run in runs):
+        raise ShapeError(f"a run needs spike counts for each of the {k} IF stages")
     rows = map_blocks(partial(_tally, snn, error_type, timesteps),
-                      np.asarray(x, dtype=np.float64), *phi)
-    report = ErrorReport(error_type=error_type)
-    for i, (stage, level, cases) in enumerate(zip(snn.if_stages, rows[::2], rows[1::2])):
-        (err,) = map_blocks(lambda n, p, k: [np.abs(
-            _phi(stage, p, timesteps) - stage.theta * (k / steps))], phi[i], level)
-        counts = cases.sum(axis=0)
-        report.layers.append(LayerErrorStats(
-            layer=i, units=err.size, mean_abs_err=float(err.mean()),
-            max_abs_err=float(err.max()), fractions={
-                case.value: float(counts[c] / err.size) for c, case in enumerate(ALL_CASES)}))
+                      np.asarray(x, dtype=np.float64), *(c for run in runs for c in run))
+    reports = [ErrorReport(error_type=error_type) for _ in runs]
+    for i, stage in enumerate(snn.if_stages):
+        level, *cases = rows[i * (1 + len(runs)):(i + 1) * (1 + len(runs))]
+        for report, run, run_cases in zip(reports, runs, cases):
+            (err,) = map_blocks(lambda n, c, lv: [np.abs(
+                stage.theta * (c / timesteps) - stage.theta * (lv / steps))], run[i], level)
+            total = run_cases.sum(axis=0)
+            report.layers.append(LayerErrorStats(
+                layer=i, units=err.size, mean_abs_err=float(err.mean()),
+                max_abs_err=float(err.max()), fractions={
+                    case.value: float(total[c] / err.size) for c, case in enumerate(ALL_CASES)}))
+            del err  # before the next one is built
+    return reports
+
+
+def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, counts: list,
+                              timesteps: int) -> ErrorReport:
+    """Per-layer distribution of a run's ``phi`` with forced equal inputs.
+
+    ``counts`` and ``timesteps`` are the run's ``SimResult.counts`` and T.
+    For each stage, the layer's ANN output is recomputed from the spiking
+    average of the previous stage (stage 0 sees the raw input), so every
+    mismatch is generated inside that single stage.
+    """
+    (report,) = _reports("I", snn, x, timesteps, counts)
     return report
 
 
-def error_type_I_distribution(snn: SnnNetwork, x: np.ndarray, phi: list,
-                              timesteps: int | None = None) -> ErrorReport:
-    """Per-layer distribution of a run's ``phi`` with forced equal inputs.
-
-    For each stage, the layer's ANN output is recomputed from the spiking
-    average of the previous stage (stage 0 sees the raw input), so every
-    mismatch is generated inside that single stage.  With ``timesteps``,
-    ``phi`` is the run's ``SimResult.counts`` instead.
-    """
-    return _report("I", snn, x, phi, timesteps)
-
-
-def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, phi: list,
-                               timesteps: int | None = None) -> ErrorReport:
+def error_type_II_distribution(snn: SnnNetwork, x: np.ndarray, counts: list,
+                               timesteps: int) -> ErrorReport:
     """Per-layer distribution of a run's ``phi`` against the ANN forward pass;
-    ``timesteps`` as in :func:`error_type_I_distribution`."""
-    return _report("II", snn, x, phi, timesteps)
+    ``counts`` and ``timesteps`` as in :func:`error_type_I_distribution`."""
+    (report,) = _reports("II", snn, x, timesteps, counts)
+    return report
 
 
 @dataclass
@@ -179,11 +194,11 @@ class SrpEffect:
                 for a, b in zip(self.after.layers, self.before.layers)]
 
 
-def srp_effect_report(snn: SnnNetwork, x: np.ndarray, phi: list, before: ErrorReport,
-                      timesteps: int | None = None) -> SrpEffect:
-    """Type II distributions without and with residual-potential masking:
-    ``before`` is the plain run's report, ``phi`` the masked run's."""
-    return SrpEffect(before=before, after=_report("II", snn, x, phi, timesteps))
+def srp_effect_report(snn: SnnNetwork, x: np.ndarray, plain: list, masked: list,
+                      timesteps: int) -> SrpEffect:
+    """Type II distributions without and with residual-potential masking, from
+    the plain and the masked run's spike counts, against one ANN forward pass."""
+    return SrpEffect(*_reports("II", snn, x, timesteps, plain, masked))
 
 
 # ---------------------------------------------------------------------------
@@ -207,7 +222,19 @@ def write_report_csv(report: ErrorReport, path) -> None:
 
 
 def report_summary(report: ErrorReport) -> dict:
-    return asdict(report)
+    return {
+        "error_type": report.error_type,
+        "layers": [
+            {
+                "layer": s.layer,
+                "units": s.units,
+                "fractions": s.fractions,
+                "mean_abs_err": s.mean_abs_err,
+                "max_abs_err": s.max_abs_err,
+            }
+            for s in report.layers
+        ],
+    }
 
 
 def plot_data(report: ErrorReport) -> dict:

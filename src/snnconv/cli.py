@@ -315,24 +315,32 @@ def cmd_analyze(args) -> int:
 
     counts = map_blocks(block_counts, x)
     plain, masked = counts[:len(snn.if_stages)], counts[len(snn.if_stages):]
+    # The SRP effect's plain half is the Type II report: one ANN chain serves both.
+    effect = srp_effect_report(snn, x, plain, masked, args.timesteps) if args.srp else None
     out_dir = Path(args.out)
     out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
         "type_I": error_type_I_distribution(snn, x, plain, args.timesteps),
-        "type_II": error_type_II_distribution(snn, x, plain, args.timesteps),
+        "type_II": (error_type_II_distribution(snn, x, plain, args.timesteps)
+                    if effect is None else effect.before),
     }
     for name, report in reports.items():
-        for path, write in ((out_dir / f"{name}.csv", write_report_csv),
-                            (out_dir / f"{name}.json", write_report_json)):
-            write(report, path)
-            print(f"wrote {path}")
+        csv_path = out_dir / f"{name}.csv"
+        json_path = out_dir / f"{name}.json"
+        write_report_csv(report, csv_path)
+        write_report_json(report, json_path)
+        print(f"wrote {csv_path}")
+        print(f"wrote {json_path}")
 
     if args.srp:
-        effect = srp_effect_report(snn, x, masked, reports["type_II"], args.timesteps)
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
-        payload = {"tau": args.tau, "timesteps": args.timesteps,
-                   "before": report_summary(effect.before), "after": report_summary(effect.after)}
+        payload = {
+            "tau": args.tau,
+            "timesteps": args.timesteps,
+            "before": report_summary(effect.before),
+            "after": report_summary(effect.after),
+        }
         with open(out_dir / "srp_effect.json", "w") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {out_dir / 'srp_effect.json'}")

@@ -197,21 +197,27 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, tau: int = 0,
     starts at ``theta/2``.  With ``tau`` the plain pass runs to step
     ``max(timesteps, tau)`` and leaves its masks, ``v >= 0`` after step ``tau``.
     The masks gate only the emitted spikes, not the membrane, so the masked
-    pass in the same block replays the plain pass's stage 0."""
+    pass in the same block replays the plain pass's stage-0 firings, kept
+    at one bit per neuron and step."""
     thetas, k = snn.thetas, len(snn.if_stages)
 
     def time_loop(n, block, masks=None, fired0=None):
         # Potentials and counts start as scalars and become arrays on the
         # first step by broadcasting, so no shape probe is needed.
         v = [0.5 * theta for theta in thetas]
-        counts, prefix, step_masks, firings = [0] * k, [], [], []
+        counts, prefix, step_masks = [0] * k, [], []
         # Under direct coding stage 0's input current is the same at every step.
         current0 = None if masks else snn.stages[0].apply(block)
+        # An SRP plain pass keeps stage 0's firings for the masked pass in one
+        # buffer, one bit per neuron and step.
+        firings = (np.empty((timesteps, -(-current0.size // 8)), np.uint8)
+                   if tau and masks is None else None)
         for t in range(timesteps if masks is not None else max(timesteps, tau)):
             current = current0
             for i, theta in enumerate(thetas):
                 if i == 0 and masks:
-                    fired = fired0[t]
+                    fired = np.unpackbits(fired0[t], count=masks[0].size)
+                    fired = fired.view(bool).reshape(masks[0].shape)
                 else:
                     if trace is not None:
                         u = v[i] + current
@@ -219,7 +225,7 @@ def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, tau: int = 0,
                     if trace is not None:
                         trace.record(i, t + 1, u[:n], fired[:n].astype(np.float64), v[i][:n])
                     if i == 0 and tau and t < timesteps:
-                        firings.append(fired)
+                        firings[t] = np.packbits(fired)
                 s = fired if masks is None else fired & masks[i]
                 if t < timesteps:
                     counts[i] += s

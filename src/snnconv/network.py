@@ -296,9 +296,12 @@ def map_blocks(fn, *arrays) -> list:
     returns a sequence of arrays with rows on axis 0; their first ``n`` rows
     go into outputs allocated at the first block, and a block's outputs are
     freed before the next block runs.  Input with no rows is a
-    :class:`DataValidationError`.
+    :class:`DataValidationError`, and arrays of unequal row counts a
+    :class:`ShapeError`.
     """
     total = len(arrays[0])
+    if any(len(a) != total for a in arrays):
+        raise ShapeError(f"arrays of {[len(a) for a in arrays]} rows cannot share blocks")
     if total == 0:
         raise DataValidationError("input has no samples")
     out = None

@@ -173,16 +173,15 @@ def test_criterion_6_report_soundness(frozen_mlp):
     first_layer_ok = True
     case1_ok = True
     for timesteps in (1, 2, 4, 8):
-        phi = snn_simulate(snn, x, timesteps).phi
-        one = error_type_I_distribution(snn, x, phi)
-        two = error_type_II_distribution(snn, x, phi)
+        masked = srp_inference(snn, x, 4, timesteps)
+        one = error_type_I_distribution(snn, x, masked.plain.counts, timesteps)
+        two = error_type_II_distribution(snn, x, masked.plain.counts, timesteps)
         for report in (one, two):
             for stats in report.layers:
                 sums_ok = sums_ok and abs(sum(stats.fractions.values()) - 1.0) <= 1e-9
         first_layer_ok = (first_layer_ok
                           and one.layers[0].fractions == two.layers[0].fractions)
-        masked = srp_inference(snn, x, 4, timesteps).phi
-        effect = srp_effect_report(snn, x, masked, before=two)
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, timesteps)
         for delta in effect.case_delta(UnevennessCase.CASE1):
             case1_ok = case1_ok and delta <= 1e-12
     _report(6, "fractions sum to 1 (1e-9), first-layer reports identical, "

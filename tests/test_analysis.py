@@ -31,7 +31,7 @@ from snnconv.analysis import (
     write_report_json,
 )
 from snnconv.engine import convert, snn_simulate, srp_inference
-from snnconv.errors import DataValidationError, ParameterError
+from snnconv.errors import DataValidationError, ParameterError, ShapeError
 from snnconv.network import ann_forward, map_blocks
 
 from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
@@ -100,16 +100,16 @@ class TestDistributions:
             net = random_dense_net(rng, 4)
             snn = convert(net)
             x = rng.uniform(0, 1, (6, net.input_shape[0]))
-            report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+            report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).counts, 4)
             assert report.layers[0].fraction(C.NO_ERROR) == 1.0
 
     def test_first_layer_same_for_both_types(self, rng):
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (6, net.input_shape[0]))
-        phi = snn_simulate(snn, x, 4).phi
-        one = error_type_I_distribution(snn, x, phi)
-        two = error_type_II_distribution(snn, x, phi)
+        counts = snn_simulate(snn, x, 4).counts
+        one = error_type_I_distribution(snn, x, counts, 4)
+        two = error_type_II_distribution(snn, x, counts, 4)
         assert one.layers[0].fractions == two.layers[0].fractions
         assert one.error_type == "I" and two.error_type == "II"
 
@@ -117,16 +117,16 @@ class TestDistributions:
         net = random_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(-0.2, 1.0, (10, net.input_shape[0]))
-        phi = snn_simulate(snn, x, 6).phi
+        counts = snn_simulate(snn, x, 6).counts
         for maker in (error_type_I_distribution, error_type_II_distribution):
-            report = maker(snn, x, phi)
+            report = maker(snn, x, counts, 6)
             for stats in report.layers:
                 assert sum(stats.fractions.values()) == pytest.approx(1.0, abs=1e-12)
 
     def test_timing_fixture_shows_both_mid_cases(self):
         net, x = timing_fixture_net()
         snn = convert(net)
-        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).counts, 4)
         mid = report.layers[1]
         assert mid.fraction(C.CASE2) == 0.5
         assert mid.fraction(C.CASE3) == 0.5
@@ -138,7 +138,7 @@ class TestDistributions:
             layer.bias[:] = 0.0
         snn = convert(net)
         x = np.zeros((3, net.input_shape[0]))
-        report = error_type_II_distribution(snn, x, snn_simulate(snn, x, 5).phi)
+        report = error_type_II_distribution(snn, x, snn_simulate(snn, x, 5).counts, 5)
         for stats in report.layers:
             assert stats.fraction(C.NO_ERROR) == 1.0
             assert stats.max_abs_err == 0.0
@@ -146,7 +146,7 @@ class TestDistributions:
     def test_cnn_case1_dominates_errors(self, frozen_cnn):
         x = frozen_cnn["x_test"][:256]
         snn = frozen_cnn["snn"]
-        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).phi)
+        report = error_type_I_distribution(snn, x, snn_simulate(snn, x, 4).counts, 4)
         wins = 0
         for stats in report.layers:
             errs = {c: stats.fraction(c) for c in (C.CASE1, C.CASE2, C.CASE3, C.CASE4)}
@@ -156,12 +156,15 @@ class TestDistributions:
 
     @pytest.mark.parametrize("bundle,count", [("frozen_mlp", 256), ("frozen_cnn", 64)])
     def test_type_II_levels_are_the_ann_forward(self, request, bundle, count):
-        # Fed the ANN's own activations as phi, the levels the report computes
-        # from the converted network must match them bit for bit.
+        # Fed the ANN's own levels as spike counts over T = L steps, so that
+        # phi is its activation, the levels the report computes from the
+        # converted network must match them bit for bit.
         frozen = request.getfixturevalue(bundle)
-        x = frozen["x_test"][:count]
+        snn, x = frozen["snn"], frozen["x_test"][:count]
         post = ann_forward(frozen["net"], x)[1].post
-        report = error_type_II_distribution(frozen["snn"], x, post)
+        levels = [np.rint(p / stage.theta * snn.quant_steps).astype(np.uint8)
+                  for p, stage in zip(post, snn.if_stages)]
+        report = error_type_II_distribution(snn, x, levels, snn.quant_steps)
         assert len(report.layers) == len(post)
         for stats in report.layers:
             assert stats.fraction(C.NO_ERROR) == 1.0
@@ -173,8 +176,9 @@ class TestDistributions:
         net = random_dense_net(rng, 4, sizes=[6, 8, 8, 8, 3])
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (40, 6))
-        phi = snn_simulate(snn, x, 3).phi
-        report = error_type_II_distribution(snn, x, phi)
+        run = snn_simulate(snn, x, 3)
+        phi = run.phi
+        report = error_type_II_distribution(snn, x, run.counts, 3)
         post = ann_forward(net, x)[1].post
         for stats, a, p, stage in zip(report.layers, post, phi, snn.if_stages):
             codes = classify_cases(a, p, stage.theta)
@@ -182,7 +186,7 @@ class TestDistributions:
                                        for i, c in enumerate(ALL_CASES)}
             assert stats.max_abs_err == float(np.abs(p - a).max())
         assert report.layers[-1].fractions != error_type_I_distribution(
-            snn, x, phi).layers[-1].fractions
+            snn, x, run.counts, 3).layers[-1].fractions
 
 
 def reference_stats(layer, a, phi, lam):
@@ -202,7 +206,8 @@ class TestBatchInvariance:
         # come out the same alone, inside an odd slice and in the full set.
         frozen = request.getfixturevalue(fixture)
         snn, x = frozen["snn"], frozen["x_test"]
-        phi = snn_simulate(snn, x, 2).phi
+        run = snn_simulate(snn, x, 2)
+        phi = run.phi
         k = len(snn.if_stages)
         seen = []
         monkeypatch.setattr(analysis, "qcfs_level",
@@ -214,11 +219,11 @@ class TestBatchInvariance:
 
         for report in (error_type_I_distribution, error_type_II_distribution):
             seen.clear()
-            report(snn, x, phi)
+            report(snn, x, run.counts, 2)
             full = pre_activations(len(x))
             for rows in (slice(0, 1), slice(5, 42)):
                 seen.clear()
-                got = report(snn, x[rows], [p[rows] for p in phi])
+                got = report(snn, x[rows], [c[rows] for c in run.counts], 2)
                 for i, (pre, stage) in enumerate(zip(pre_activations(len(x[rows])),
                                                      snn.if_stages)):
                     assert np.array_equal(pre, full[i][rows])
@@ -236,9 +241,12 @@ class TestExactness:
         # 300 samples span two blocks
         snn, x, timesteps = frozen["snn"], frozen["x_test"][:300], 4
         masked = srp_inference(snn, x, 4, timesteps)
-        plain_II = error_type_II_distribution(snn, x, masked.plain.phi)
-        # Type I and Type II of the plain run, and SRP-after: Type II of the masked run
-        for error_type, run in (("I", masked.plain), ("II", masked.plain), ("II", masked)):
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, timesteps)
+        # Type I and Type II of the plain run, and Type II of the masked run,
+        # alone and as the two halves of the SRP effect
+        for error_type, run, half in (("I", masked.plain, None),
+                                      ("II", masked.plain, effect.before),
+                                      ("II", masked, effect.after)):
             want, prev = [], x
             for i, (stage, phi) in enumerate(zip(snn.if_stages, run.phi)):
                 (pre,) = map_blocks(lambda n, block: [stage.apply(block)], prev)
@@ -247,21 +255,37 @@ class TestExactness:
                 prev = phi if error_type == "I" else a
             report = (error_type_I_distribution if error_type == "I"
                       else error_type_II_distribution)
-            assert report(snn, x, run.phi).layers == want
             assert report(snn, x, run.counts, timesteps).layers == want
-        # the last reference is SRP-after's
-        effect = srp_effect_report(snn, x, masked.counts, plain_II, timesteps)
-        assert effect.before is plain_II and effect.after.layers == want
+            assert half is None or half.layers == want
 
 
 class TestEmptyInput:
     def test_reports_reject_no_samples(self, rng):
         snn = convert(random_dense_net(rng, 4))
         x = rng.uniform(0, 1, (3, snn.input_shape[0]))
-        phi = [p[:0] for p in snn_simulate(snn, x, 2).phi]
+        counts = [c[:0] for c in snn_simulate(snn, x, 2).counts]
         for report in (error_type_I_distribution, error_type_II_distribution):
             with pytest.raises(DataValidationError):
-                report(snn, x[:0], phi)
+                report(snn, x[:0], counts, 2)
+
+
+class TestReportInput:
+    def test_counts_rows_must_match_x(self, rng):
+        snn = convert(random_dense_net(rng, 4))
+        x = rng.uniform(0, 1, (5, snn.input_shape[0]))
+        counts = snn_simulate(snn, x, 2).counts
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ShapeError):
+                report(snn, x[:4], counts, 2)
+        with pytest.raises(ShapeError):
+            srp_effect_report(snn, x, counts, [c[:4] for c in counts], 2)
+
+    def test_one_count_array_per_stage(self, rng):
+        snn = convert(random_dense_net(rng, 4))
+        x = rng.uniform(0, 1, (5, snn.input_shape[0]))
+        counts = snn_simulate(snn, x, 2).counts
+        with pytest.raises(ShapeError):
+            error_type_II_distribution(snn, x, counts[:-1], 2)
 
 
 class TestSrpEffect:
@@ -269,16 +293,16 @@ class TestSrpEffect:
         net = positive_dense_net(rng, 4)
         snn = convert(net)
         x = rng.uniform(0, 1, (5, net.input_shape[0]))
-        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        effect = srp_effect_report(snn, x, srp_inference(snn, x, 4, 4).phi, before=before)
+        masked = srp_inference(snn, x, 4, 4)
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, 4)
         for b, a in zip(effect.before.layers, effect.after.layers):
             assert b.fractions == a.fractions
 
     def test_case1_fixture_repaired(self):
         net, x = case1_repair_net()
         snn = convert(net)
-        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).phi)
-        effect = srp_effect_report(snn, x, srp_inference(snn, x, 2, 2).phi, before=before)
+        masked = srp_inference(snn, x, 2, 2)
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, 2)
         assert effect.before.layers[1].fraction(C.CASE1) == 1.0
         assert effect.after.layers[1].fraction(C.NO_ERROR) == 1.0
         assert effect.case_delta(C.CASE1) == [0.0, -1.0]
@@ -288,18 +312,16 @@ class TestSrpEffect:
         snn = convert(net)
         x = rng.uniform(-0.5, 1.0, (6, net.input_shape[0]))
         masked = srp_inference(snn, x, 3, 4)
-        before = error_type_II_distribution(snn, x, masked.plain.phi)
-        effect = srp_effect_report(snn, x, masked.phi, before=before)
-        assert effect.before is before
-        after = error_type_II_distribution(snn, x, masked.phi)
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, 4)
+        after = error_type_II_distribution(snn, x, masked.counts, 4)
         assert report_summary(effect.after) == report_summary(after)
-        plain = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        assert report_summary(before) == report_summary(plain)
+        plain = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).counts, 4)
+        assert report_summary(effect.before) == report_summary(plain)
 
     def test_desk_scale_case1_not_worse(self, frozen_mlp):
         x, snn = frozen_mlp["x_test"][:256], frozen_mlp["snn"]
-        before = error_type_II_distribution(snn, x, snn_simulate(snn, x, 4).phi)
-        effect = srp_effect_report(snn, x, srp_inference(snn, x, 4, 4).phi, before=before)
+        masked = srp_inference(snn, x, 4, 4)
+        effect = srp_effect_report(snn, x, masked.plain.counts, masked.counts, 4)
         deltas = effect.case_delta(C.CASE1)
         assert all(d <= 1e-12 for d in deltas)
 
@@ -552,7 +574,7 @@ class TestEmission:
     def build_report(self):
         net, x = case1_repair_net()
         snn = convert(net)
-        return error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).phi)
+        return error_type_II_distribution(snn, x, snn_simulate(snn, x, 2).counts, 2)
 
     def test_rows_and_csv(self, tmp_path):
         report = self.build_report()

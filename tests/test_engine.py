@@ -1,4 +1,5 @@
 import csv
+import tracemalloc
 import weakref
 
 import numpy as np
@@ -293,6 +294,11 @@ class TestBlocks:
         map_blocks(lambda n, block: shared.append(np.shares_memory(block, x)) or [block], x)
         assert shared == [True, False]
 
+    def test_unequal_row_counts_rejected(self, rng):
+        x = rng.normal(size=(BLOCK_ROWS + 3, 2))
+        with pytest.raises(ShapeError):
+            map_blocks(lambda n, a, b: [a], x, x[:-1])
+
     def test_block_outputs_freed_before_next_block(self, rng):
         # outputs hold only the real rows, so a block's own arrays can go
         alive = []
@@ -363,6 +369,20 @@ class TestSharedStageOne:
         assert_same_run(res, reference_srp(snn, x, tau, timesteps))
         assert res.plain.plain is None and res.masks is not None
         assert all(m.dtype == bool for m in res.masks)
+
+    def test_stage_zero_buffer_packed(self, frozen_cnn):
+        # the plain pass keeps stage 0's firings for the masked pass at one
+        # bit per neuron and step; as bools, T = 32 would cost 1.4x T = 4
+        snn, x = frozen_cnn["snn"], frozen_cnn["x_test"][:BLOCK_ROWS]
+        peaks = []
+        for timesteps in (4, 32):
+            tracemalloc.start()
+            try:
+                srp_inference(snn, x, 4, timesteps)
+                peaks.append(tracemalloc.get_traced_memory()[1])
+            finally:
+                tracemalloc.stop()
+        assert peaks[1] <= 1.2 * peaks[0], peaks
 
 
 class TestSrp:

@@ -45,6 +45,7 @@ from .activation import qcfs_level
 from .engine import SnnNetwork, if_scan
 from .errors import ParameterError, ShapeError
 from .network import map_blocks
+from .output import open_output
 
 EPS_DEFAULT = 1e-6
 
@@ -214,7 +215,7 @@ def report_rows(report: ErrorReport) -> list:
 
 
 def write_report_csv(report: ErrorReport, path) -> None:
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["layer", "case", "fraction"])
         for layer, case, fraction in report_rows(report):
@@ -247,7 +248,7 @@ def plot_data(report: ErrorReport) -> dict:
 
 
 def write_report_json(report: ErrorReport, path) -> None:
-    with open(path, "w") as fh:
+    with open_output(path) as fh:
         json.dump({"summary": report_summary(report), "plot": plot_data(report)},
                   fh, indent=2, sort_keys=True)
 

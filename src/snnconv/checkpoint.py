@@ -24,6 +24,7 @@ import numpy as np
 
 from .errors import DataFormatError, ParameterError, ShapeError
 from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec, layer_output_shape
+from .output import open_output
 
 MAGIC = b"SNNCONV1"
 FORMAT_VERSION = 1
@@ -62,7 +63,7 @@ def save_checkpoint(net: NetworkSpec, path, model_type: str = "ann") -> None:
     header["payload_count"] = int(payload.size)
 
     header_bytes = json.dumps(header).encode("utf-8")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(MAGIC)
         fh.write(struct.pack("<I", len(header_bytes)))
         fh.write(header_bytes)

@@ -53,6 +53,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
+from .output import open_output
 from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
 
 EXIT_OK = 0
@@ -162,11 +163,6 @@ def _scores_accuracy(scores: np.ndarray, labels: np.ndarray) -> float:
 # commands
 
 
-def _ensure_parent(path) -> None:
-    """Create missing parent directories for an output path."""
-    Path(path).parent.mkdir(parents=True, exist_ok=True)
-
-
 def _require(args, *names) -> None:
     for name in names:
         if getattr(args, name) is None:
@@ -212,7 +208,9 @@ def cmd_train(args) -> int:
     net.normalization = standardization_stats(handle.images)
     init_network(net, args.seed)
 
-    x = _model_inputs(net, handle)
+    # Training needs only the standardized copy: let the raw images go.
+    x, labels = _model_inputs(net, handle), handle.labels
+    del handle
     train_cfg = TrainConfig(
         learning_rate=args.learning_rate,
         momentum=args.momentum,
@@ -220,13 +218,12 @@ def cmd_train(args) -> int:
         epochs=args.epochs,
         batch_size=args.batch_size,
     )
-    history = train(net, x, handle.labels, train_cfg, seed=args.seed)
+    history = train(net, x, labels, train_cfg, seed=args.seed)
     for epoch, (loss, acc) in enumerate(zip(history.loss, history.train_accuracy)):
         print(f"epoch {epoch + 1}/{train_cfg.epochs} loss {loss:.4f} acc {acc:.4f}")
 
-    _ensure_parent(args.out)
     save_checkpoint(net, args.out, model_type="ann")
-    final = accuracy(net, x, handle.labels)
+    final = accuracy(net, x, labels)
     print(f"train accuracy {final:.4f}")
     print(f"wrote {args.out}")
     return EXIT_OK
@@ -239,12 +236,10 @@ def cmd_convert(args) -> int:
         raise ParameterError(f"{args.model}: expected an ANN checkpoint, "
                              f"got model_type={header.get('model_type')!r}")
     snn = convert(net)
-    _ensure_parent(args.out)
     save_checkpoint(net, args.out, model_type="snn")
     print(f"wrote {args.out}")
     if args.report:
-        _ensure_parent(args.report)
-        with open(args.report, "w") as fh:
+        with open_output(args.report) as fh:
             json.dump({"thetas": snn.thetas, "v_init": [0.5 * t for t in snn.thetas]},
                       fh, indent=2, sort_keys=True)
         print(f"wrote {args.report}")
@@ -252,8 +247,7 @@ def cmd_convert(args) -> int:
 
 
 def _write_metrics(path, rows) -> None:
-    _ensure_parent(path)
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         fh.write("T,acc_ann,acc_snn,acc_srp\n")
         for timesteps, acc_ann, acc_snn, acc_srp in rows:
             srp_field = "" if acc_srp is None else f"{acc_srp:.6f}"
@@ -298,7 +292,6 @@ def cmd_eval(args) -> int:
     if args.trace:
         recorder = TraceRecorder()
         snn_simulate(snn, x[[args.trace_sample]], args.timesteps[0], trace=recorder)
-        _ensure_parent(args.trace)
         recorder.write_csv(args.trace)
         print(f"wrote {args.trace}")
     return EXIT_OK
@@ -318,7 +311,6 @@ def cmd_analyze(args) -> int:
     # The SRP effect's plain half is the Type II report: one ANN chain serves both.
     effect = srp_effect_report(snn, x, plain, masked, args.timesteps) if args.srp else None
     out_dir = Path(args.out)
-    out_dir.mkdir(parents=True, exist_ok=True)
     reports = {
         "type_I": error_type_I_distribution(snn, x, plain, args.timesteps),
         "type_II": (error_type_II_distribution(snn, x, plain, args.timesteps)
@@ -341,7 +333,7 @@ def cmd_analyze(args) -> int:
             "before": report_summary(effect.before),
             "after": report_summary(effect.after),
         }
-        with open(out_dir / "srp_effect.json", "w") as fh:
+        with open_output(out_dir / "srp_effect.json") as fh:
             json.dump(payload, fh, indent=2, sort_keys=True)
         print(f"wrote {out_dir / 'srp_effect.json'}")
     return EXIT_OK
@@ -378,8 +370,7 @@ def cmd_verify_theorem(args) -> int:
               f"v_final={bad.v_final} a={bad.a} clause={bad.clause}",
               file=sys.stderr)
     if args.out:
-        _ensure_parent(args.out)
-        with open(args.out, "w") as fh:
+        with open_output(args.out) as fh:
             json.dump(summary, fh, indent=2, sort_keys=True)
         print(f"wrote {args.out}")
     return EXIT_INVARIANT if failures else EXIT_OK

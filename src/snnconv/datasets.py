@@ -23,6 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DataValidationError, ParameterError
+from .output import open_output
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -107,7 +108,7 @@ def write_idx_images(images: np.ndarray, path) -> None:
         raise DataValidationError(f"expected (n, 1, rows, cols), got {images.shape}")
     n, _, rows, cols = images.shape
     pixels = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
         fh.write(pixels.tobytes())
 
@@ -118,7 +119,7 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
         raise DataValidationError(f"expected 1-d labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise DataValidationError("labels must fit in an unsigned byte")
-    with open(path, "wb") as fh:
+    with open_output(path, "wb") as fh:
         fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
         fh.write(labels.astype(np.uint8).tobytes())
 
@@ -171,7 +172,7 @@ def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHa
 def write_csv_dataset(handle: DatasetHandle, path) -> None:
     n, _, rows, cols = handle.images.shape
     flat = handle.images.reshape(n, rows * cols)
-    with open(path, "w", newline="") as fh:
+    with open_output(path, newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(["label"] + [f"f{i}" for i in range(rows * cols)])
         for label, vec in zip(handle.labels, flat):
@@ -298,7 +299,6 @@ def synthetic_digits(n: int, seed: int = 0, side: int = 28,
 def materialize_idx(handle: DatasetHandle, directory, prefix: str) -> tuple:
     """Write a handle out as an IDX pair; returns the two paths."""
     directory = Path(directory)
-    directory.mkdir(parents=True, exist_ok=True)
     image_path = directory / f"{prefix}-images-idx3-ubyte"
     label_path = directory / f"{prefix}-labels-idx1-ubyte"
     write_idx_images(handle.images, image_path)

@@ -27,6 +27,7 @@ import numpy as np
 
 from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
 from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks
+from .output import open_output
 
 
 @dataclass
@@ -171,7 +172,7 @@ class TraceRecorder:
         return rows
 
     def write_csv(self, path) -> None:
-        with open(path, "w", newline="") as fh:
+        with open_output(path, newline="") as fh:
             writer = csv.writer(fh)
             writer.writerow(["layer", "neuron", "t", "u", "s", "v"])
             writer.writerows(self.rows)

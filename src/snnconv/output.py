@@ -1,0 +1,45 @@
+"""The one way the package writes a file.
+
+:func:`open_output` writes a new sibling file and, once the writer has
+finished, unlinks the old path and renames the new file into place.  A
+writer that fails leaves the previous file as it was, never a half-written
+one.  No existing file's data is replaced, and that is what makes a rerun
+cheap: on ext4 (default ``auto_da_alloc``) truncating a file that holds
+data, or renaming a new file over it, forces a synchronous writeback
+(40-130 ms per file on a 2-vCPU virtual machine's disk), while unlink then
+rename costs well under a millisecond.  Nothing is fsynced, so a crash may
+still lose the new bytes.
+"""
+
+from __future__ import annotations
+
+import errno
+import os
+from contextlib import contextmanager, suppress
+
+
+@contextmanager
+def open_output(path, mode: str = "w", **open_kwargs):
+    """``open(path, mode, **open_kwargs)`` for a whole new file (``mode``
+    ``"w"`` or ``"wb"``), which replaces ``path`` only when the block exits
+    without an exception.
+
+    A symlinked ``path`` updates its target; missing parent directories are
+    created.  Other names of a hard-linked ``path`` keep the old bytes.
+    """
+    target = os.path.realpath(path)
+    if os.fspath(path).endswith(os.sep) or os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    parent, name = os.path.split(target)
+    os.makedirs(parent, exist_ok=True)
+    temp = os.path.join(parent, f".{name}.{os.getpid()}.tmp")
+    try:
+        with open(temp, mode, **open_kwargs) as fh:
+            yield fh
+        with suppress(FileNotFoundError):
+            os.unlink(target)
+        os.rename(temp, target)
+    except BaseException:
+        with suppress(FileNotFoundError):
+            os.unlink(temp)
+        raise

@@ -390,6 +390,16 @@ class TestAnalyze:
         assert payload["tau"] == 4
         assert {"before", "after"} <= set(payload)
 
+    def test_rerun_replaces_files(self, workspace, tmp_path):
+        out = tmp_path / "analysis"
+        argv = ["analyze", "--model", str(workspace["model"]), "--data", str(workspace["data"]),
+                "--timesteps", "4", "--srp", "--limit", "64", "--out", str(out)]
+        assert main(argv) == EXIT_OK
+        first = {p.name: p.read_bytes() for p in out.iterdir()}
+        assert main(argv) == EXIT_OK
+        assert {p.name: p.read_bytes() for p in out.iterdir()} == first
+        assert len(first) == 7  # no temp file is left beside the seven reports
+
     def test_timesteps_takes_one_integer(self):
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--timesteps", "2,4"])

@@ -47,8 +47,6 @@ from .errors import ParameterError, ShapeError
 from .network import map_blocks
 from .output import open_output
 
-EPS_DEFAULT = 1e-6
-
 
 class UnevennessCase(Enum):
     NO_ERROR = "NoError"
@@ -61,32 +59,28 @@ class UnevennessCase(Enum):
 ALL_CASES = list(UnevennessCase)
 
 
-def classify_cases(a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
-    """Classify (ANN output, spiking output) pairs elementwise; returns
-    integer codes indexing ALL_CASES.
+def classify_cases(counts, levels, timesteps: int, steps: int) -> np.ndarray:
+    """Classify (spike count, ANN level) pairs elementwise; returns integer
+    codes indexing ALL_CASES.
 
-    Comparisons are under the absolute tolerance ``EPS_DEFAULT``; both
-    outputs live on grids with spacing >= lam/steps, so genuine mismatches
-    always clear it.  Raises for ``a`` outside [0, lam] beyond tolerance.
+    Over ``T = timesteps`` steps a count ``c`` gives ``phi = theta * (c / T)``,
+    and a level ``k`` of ``L = steps`` gives ``a = theta * (k / L)``, so
+    ``phi - a = theta * (c*L - k*T) / (T*L)``: the integer ``c*L - k*T`` has the
+    sign of ``phi - a``, and ``k == 0`` and ``k == L`` mark ``a == 0`` and
+    ``a == lam``.  Every comparison is exact.  Raises unless ``T`` and ``L``
+    are integers >= 1, ``counts`` integers in [0, T] and ``levels`` in [0, L].
     """
-    if lam <= 0:
-        raise ParameterError(f"lam must be positive, got {lam}")
-    eps = EPS_DEFAULT
-    a = np.asarray(a, dtype=np.float64)
-    phi = np.asarray(phi, dtype=np.float64)
-    if np.any(a < -eps) or np.any(a > lam + eps):
-        bad = a[(a < -eps) | (a > lam + eps)].flat[0]
-        raise ParameterError(f"ANN output {bad} outside [0, {lam}]")
-    codes = np.zeros(a.shape, dtype=np.int64)
-    differs = np.abs(phi - a) > eps
-    zero = a <= eps
-    top = ~zero & (a >= lam - eps)
-    mid = ~zero & ~top
-    codes[differs & zero & (phi > a)] = 1
-    codes[differs & mid & (phi > a)] = 2
-    codes[differs & mid & (phi < a)] = 3
-    codes[differs & top & (phi < a)] = 4
-    return codes
+    for name, top in (("timesteps", timesteps), ("steps", steps)):
+        if not isinstance(top, (int, np.integer)) or top < 1:
+            raise ParameterError(f"{name} must be an integer >= 1, got {top!r}")
+    counts, levels = np.asarray(counts), np.asarray(levels)
+    for name, values, top in (("spike counts", counts, timesteps), ("ANN levels", levels, steps)):
+        if values.dtype.kind not in "iu" or np.any(values < 0) or np.any(values > top):
+            raise ParameterError(f"{name} must be integers in [0, {top}]")
+    diff = counts.astype(np.int64) * steps - levels.astype(np.int64) * timesteps
+    mid = (levels > 0) & (levels < steps)
+    return np.select([(diff > 0) & (levels == 0), (diff > 0) & mid,
+                      (diff < 0) & mid, (diff < 0) & (levels == steps)], [1, 2, 3, 4])
 
 
 # ---------------------------------------------------------------------------
@@ -111,9 +105,10 @@ class ErrorReport:
     layers: list = field(default_factory=list)
 
 
-def _case_rows(a: np.ndarray, phi: np.ndarray, lam: float) -> np.ndarray:
+def _case_rows(counts: np.ndarray, levels: np.ndarray, timesteps: int,
+               steps: int) -> np.ndarray:
     """Each row's count of every case, as ``(rows, len(ALL_CASES))``."""
-    codes = classify_cases(a, phi, lam).reshape(len(phi), -1)
+    codes = classify_cases(counts, levels, timesteps, steps).reshape(len(counts), -1)
     return np.stack([np.count_nonzero(codes == j, axis=1) for j in range(len(ALL_CASES))],
                     axis=1)
 
@@ -126,12 +121,10 @@ def _tally(snn: SnnNetwork, error_type: str, timesteps: int, n: int, block, *cou
     for i, stage in enumerate(snn.if_stages):
         level = qcfs_level(stage.apply(prev), stage.theta, steps)
         level = level.astype(np.min_scalar_type(steps))
-        a = stage.theta * (level / steps)
         rows.append(level)
-        # one call per run, so a run's float phi and codes go before the next
-        rows += [_case_rows(a, stage.theta * (c / timesteps), stage.theta)
-                 for c in counts[i::k]]
-        prev = stage.theta * (counts[i] / timesteps) if error_type == "I" else a
+        rows += [_case_rows(c, level, timesteps, steps) for c in counts[i::k]]
+        prev = (stage.theta * (counts[i] / timesteps) if error_type == "I"
+                else stage.theta * (level / steps))
     return rows
 
 

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,7 +11,6 @@ from snnconv import analysis
 from snnconv.activation import qcfs, qcfs_level
 from snnconv.analysis import (
     ALL_CASES,
-    EPS_DEFAULT,
     LayerErrorStats,
     MAX_ENUM_TIMESTEPS,
     MAX_PRESYN,
@@ -32,18 +32,50 @@ from snnconv.analysis import (
 )
 from snnconv.engine import convert, snn_simulate, srp_inference
 from snnconv.errors import DataValidationError, ParameterError, ShapeError
-from snnconv.network import ann_forward, map_blocks
+from snnconv.network import NetworkSpec, ann_forward, map_blocks
 
-from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
+from helpers import (
+    case1_repair_net, dense, positive_dense_net, random_dense_net, timing_fixture_net,
+)
 
 C = UnevennessCase
 
 
-def case_of(a, phi, lam=1.0):
-    return ALL_CASES[int(classify_cases(a, phi, lam))]
+def case_of(count, level, timesteps=4, steps=4):
+    return ALL_CASES[int(classify_cases(count, level, timesteps, steps))]
+
+
+def case_by_definition(phi: Fraction, a: Fraction) -> UnevennessCase:
+    """The four cases on exact outputs, in units of ``lam`` (so ``a`` is in [0, 1])."""
+    if phi == a:
+        return C.NO_ERROR
+    if a == 0:
+        return C.CASE1 if phi > a else C.NO_ERROR
+    if a == 1:
+        return C.CASE4 if phi < a else C.NO_ERROR
+    return C.CASE2 if phi > a else C.CASE3
+
+
+def float_cases(a, phi, lam):
+    """The float classifier the reports once used: ANN output ``a`` against
+    spiking output ``phi`` under an absolute tolerance of 1e-6.  It is an
+    independent reference for the reports built from integers."""
+    eps = 1e-6
+    a, phi = np.asarray(a, dtype=np.float64), np.asarray(phi, dtype=np.float64)
+    codes = np.zeros(a.shape, dtype=np.int64)
+    differs = np.abs(phi - a) > eps
+    zero = a <= eps
+    top = ~zero & (a >= lam - eps)
+    mid = ~zero & ~top
+    codes[differs & zero & (phi > a)] = 1
+    codes[differs & mid & (phi > a)] = 2
+    codes[differs & mid & (phi < a)] = 3
+    codes[differs & top & (phi < a)] = 4
+    return codes
 
 
 class TestClassify:
+    # (a, phi) in units of lam, on the T = L = 4 grid
     @pytest.mark.parametrize("a,phi,want", [
         (0.0, 0.5, C.CASE1),
         (0.5, 0.5, C.NO_ERROR),
@@ -54,44 +86,45 @@ class TestClassify:
         (1.0, 1.0, C.NO_ERROR),
     ])
     def test_examples(self, a, phi, want):
-        assert case_of(a, phi) is want
+        assert case_of(round(phi * 4), round(a * 4)) is want
 
-    def test_tolerance_band(self):
-        assert case_of(0.5, 0.5 + 5e-7) is C.NO_ERROR
-        assert case_of(1e-7, 0.5) is C.CASE1
+    def test_grid_matches_definition(self):
+        for timesteps, steps in itertools.product(range(1, 9), repeat=2):
+            count, level = np.meshgrid(np.arange(timesteps + 1), np.arange(steps + 1))
+            codes = classify_cases(count, level, timesteps, steps)
+            for c, k, code in zip(count.flat, level.flat, codes.flat):
+                want = case_by_definition(Fraction(int(c), timesteps), Fraction(int(k), steps))
+                assert ALL_CASES[code] is want, (c, k, timesteps, steps)
 
     def test_domain_errors(self):
-        with pytest.raises(ParameterError):
-            case_of(-0.1, 0.0)
-        with pytest.raises(ParameterError):
-            case_of(1.2, 0.5)
-        with pytest.raises(ParameterError):
-            case_of(0.5, 0.5, 0.0)
+        for count, level, timesteps, steps in [
+            (0, 0, 4, 0), (0, 0, 0, 4), (0, 0, 2.0, 4), (0, 0, 4, 1.5),
+            (5, 0, 4, 4), (-1, 0, 4, 4), (0, 5, 4, 4), (0, -1, 4, 4),
+            (0.5, 0, 4, 4), (0, 1.0, 4, 4),
+        ]:
+            with pytest.raises(ParameterError):
+                case_of(count, level, timesteps, steps)
 
-    @given(a=st.floats(0, 1), phi=st.floats(-0.5, 1.5))
+    @given(timesteps=st.integers(1, 10_000), steps=st.integers(1, 10_000), data=st.data())
     @settings(max_examples=300, deadline=None)
-    def test_partition(self, a, phi):
-        case = case_of(a, phi)
-        eps = EPS_DEFAULT
-        if abs(phi - a) <= eps:
-            assert case is C.NO_ERROR
-        elif a <= eps:
-            assert case is (C.CASE1 if phi > a else C.NO_ERROR)
-        elif a >= 1.0 - eps:
-            assert case is (C.CASE4 if phi < a else C.NO_ERROR)
-        else:
-            assert case is (C.CASE2 if phi > a else C.CASE3)
+    def test_partition(self, timesteps, steps, data):
+        # T * L reaches 1e8, so phi - a = theta * (cL - kT) / (TL) can be far
+        # below any fixed float tolerance
+        count = data.draw(st.integers(0, timesteps))
+        level = data.draw(st.integers(0, steps))
+        want = case_by_definition(Fraction(count, timesteps), Fraction(level, steps))
+        assert case_of(count, level, timesteps, steps) is want
 
     def test_vector_agrees_with_scalar(self, rng):
-        a = rng.uniform(0, 1, 500)
-        phi = rng.uniform(-0.3, 1.3, 500)
-        codes = classify_cases(a, phi, 1.0)
-        for ai, pi, code in zip(a, phi, codes):
-            assert ALL_CASES[code] is case_of(float(ai), float(pi))
+        count = rng.integers(0, 8, 500)
+        level = rng.integers(0, 6, 500)
+        codes = classify_cases(count, level, 7, 5)
+        for c, k, code in zip(count, level, codes):
+            assert ALL_CASES[code] is case_of(c, k, 7, 5)
 
     def test_vector_domain_error(self):
         with pytest.raises(ParameterError):
-            classify_cases(np.array([0.2, 1.5]), np.zeros(2), 1.0)
+            classify_cases(np.array([1, 5]), np.zeros(2, dtype=np.uint8), 4, 4)
 
 
 class TestDistributions:
@@ -181,17 +214,29 @@ class TestDistributions:
         report = error_type_II_distribution(snn, x, run.counts, 3)
         post = ann_forward(net, x)[1].post
         for stats, a, p, stage in zip(report.layers, post, phi, snn.if_stages):
-            codes = classify_cases(a, p, stage.theta)
+            codes = float_cases(a, p, stage.theta)
             assert stats.fractions == {c.value: float(np.count_nonzero(codes == i) / codes.size)
                                        for i, c in enumerate(ALL_CASES)}
             assert stats.max_abs_err == float(np.abs(p - a).max())
         assert report.layers[-1].fractions != error_type_I_distribution(
             snn, x, run.counts, 3).layers[-1].fractions
 
+    def test_mismatch_below_a_float_tolerance(self):
+        # theta / (T * L) = 1e-3 / (63 * 32) is below 1e-6, yet one extra
+        # spike against level 1 is still over-spiking: 2/63 > 1/32
+        theta, steps = 1e-3, 32
+        net = NetworkSpec(layers=[dense([[1.0]], lam=theta), dense([[1.0]])],
+                          quant_steps=steps, input_shape=(1,))
+        report = error_type_II_distribution(convert(net), np.array([[theta / steps]]),
+                                            [np.array([[2]], dtype=np.uint8)], 63)
+        (stats,) = report.layers
+        assert stats.fraction(C.CASE2) == 1.0
+        assert 0.0 < stats.max_abs_err < 1e-6
+
 
 def reference_stats(layer, a, phi, lam):
-    """One stage's statistics computed on whole-split arrays."""
-    codes = classify_cases(a, phi, lam)
+    """One stage's statistics computed on whole-split float arrays."""
+    codes = float_cases(a, phi, lam)
     fractions = {case.value: float(np.count_nonzero(codes == i) / codes.size)
                  for i, case in enumerate(ALL_CASES)}
     err = np.abs(phi - a)
@@ -279,6 +324,38 @@ class TestReportInput:
                 report(snn, x[:4], counts, 2)
         with pytest.raises(ShapeError):
             srp_effect_report(snn, x, counts, [c[:4] for c in counts], 2)
+
+    @staticmethod
+    def two_step_run(rng):
+        net = positive_dense_net(rng, 2)
+        x = rng.uniform(0.5, 1.0, (5, net.input_shape[0]))
+        snn = convert(net)
+        return snn, x, snn_simulate(snn, x, 2)
+
+    @pytest.mark.parametrize("timesteps", [0, -1, 1.5])
+    def test_timesteps_must_be_a_positive_integer(self, rng, timesteps):
+        snn, x, run = self.two_step_run(rng)
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ParameterError):
+                report(snn, x, run.counts, timesteps)
+        with pytest.raises(ParameterError):
+            srp_effect_report(snn, x, run.counts, run.counts, timesteps)
+
+    def test_counts_beyond_timesteps(self, rng):
+        # a two-step run's counts read as a one-step run's
+        snn, x, run = self.two_step_run(rng)
+        assert max(int(c.max()) for c in run.counts) == 2
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ParameterError):
+                report(snn, x, run.counts, 1)
+
+    def test_float_phi_is_not_counts(self, rng):
+        snn, x, run = self.two_step_run(rng)
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ParameterError):
+                report(snn, x, run.phi, 2)
+        with pytest.raises(ParameterError):
+            srp_effect_report(snn, x, run.counts, run.phi, 2)
 
     def test_one_count_array_per_stage(self, rng):
         snn = convert(random_dense_net(rng, 4))

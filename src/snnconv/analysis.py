@@ -29,8 +29,6 @@ residual potential is equivalent to the neuron having over-fired:
 
 from __future__ import annotations
 
-import csv
-import json
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field
@@ -42,10 +40,10 @@ from itertools import combinations
 import numpy as np
 
 from .activation import qcfs_level
-from .engine import SnnNetwork, if_scan
+from .engine import SnnNetwork, _checked_input, if_scan
 from .errors import ParameterError, ShapeError
 from .network import map_blocks
-from .output import open_output
+from .output import write_csv, write_json
 
 
 class UnevennessCase(Enum):
@@ -121,6 +119,10 @@ def _tally(snn: SnnNetwork, error_type: str, timesteps: int, n: int, block, *cou
     for i, stage in enumerate(snn.if_stages):
         level = qcfs_level(stage.apply(prev), stage.theta, steps)
         level = level.astype(np.min_scalar_type(steps))
+        for c in counts[i::k]:
+            if c.shape != level.shape:
+                raise ShapeError(f"IF stage {i} has neurons of shape {level.shape[1:]}, "
+                                 f"spike counts of shape {c.shape[1:]}")
         rows.append(level)
         rows += [_case_rows(c, level, timesteps, steps) for c in counts[i::k]]
         prev = (stage.theta * (counts[i] / timesteps) if error_type == "I"
@@ -139,8 +141,9 @@ def _reports(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
     steps, k = snn.quant_steps, len(snn.if_stages)
     if any(len(run) != k for run in runs):
         raise ShapeError(f"a run needs spike counts for each of the {k} IF stages")
+    runs = [[np.asarray(c) for c in run] for run in runs]
     rows = map_blocks(partial(_tally, snn, error_type, timesteps),
-                      np.asarray(x, dtype=np.float64), *(c for run in runs for c in run))
+                      _checked_input(snn, x), *(c for run in runs for c in run))
     reports = [ErrorReport(error_type=error_type) for _ in runs]
     for i, stage in enumerate(snn.if_stages):
         level, *cases = rows[i * (1 + len(runs)):(i + 1) * (1 + len(runs))]
@@ -208,11 +211,8 @@ def report_rows(report: ErrorReport) -> list:
 
 
 def write_report_csv(report: ErrorReport, path) -> None:
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["layer", "case", "fraction"])
-        for layer, case, fraction in report_rows(report):
-            writer.writerow([layer, case, f"{fraction:.9f}"])
+    write_csv(path, ["layer", "case", "fraction"],
+              [(layer, case, f"{fraction:.9f}") for layer, case, fraction in report_rows(report)])
 
 
 def report_summary(report: ErrorReport) -> dict:
@@ -241,9 +241,7 @@ def plot_data(report: ErrorReport) -> dict:
 
 
 def write_report_json(report: ErrorReport, path) -> None:
-    with open_output(path) as fh:
-        json.dump({"summary": report_summary(report), "plot": plot_data(report)},
-                  fh, indent=2, sort_keys=True)
+    write_json(path, {"summary": report_summary(report), "plot": plot_data(report)})
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,8 @@ only in the option definitions.  Exit codes:
 
     0   success
     2   configuration problem (bad flags, bad config file, bad parameters)
-    3   data problem (missing or malformed dataset / checkpoint bytes)
+    3   data problem (malformed dataset / checkpoint bytes, or a path that
+        cannot be read or written)
     4   invariant violation (conversion failure, training divergence,
         theorem counterexample)
 """
@@ -16,7 +17,6 @@ only in the option definitions.  Exit codes:
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from pathlib import Path
 
@@ -53,7 +53,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
-from .output import open_output
+from .output import open_output, write_json
 from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
 
 EXIT_OK = 0
@@ -239,14 +239,13 @@ def cmd_convert(args) -> int:
     save_checkpoint(net, args.out, model_type="snn")
     print(f"wrote {args.out}")
     if args.report:
-        with open_output(args.report) as fh:
-            json.dump({"thetas": snn.thetas, "v_init": [0.5 * t for t in snn.thetas]},
-                      fh, indent=2, sort_keys=True)
+        write_json(args.report, {"thetas": snn.thetas, "v_init": [0.5 * t for t in snn.thetas]})
         print(f"wrote {args.report}")
     return EXIT_OK
 
 
 def _write_metrics(path, rows) -> None:
+    # Not output.write_csv: eval.csv's lines end in "\n", and its bytes are pinned.
     with open_output(path, newline="") as fh:
         fh.write("T,acc_ann,acc_snn,acc_srp\n")
         for timesteps, acc_ann, acc_snn, acc_srp in rows:
@@ -327,14 +326,12 @@ def cmd_analyze(args) -> int:
     if args.srp:
         write_report_csv(effect.before, out_dir / "srp_before.csv")
         write_report_csv(effect.after, out_dir / "srp_after.csv")
-        payload = {
+        write_json(out_dir / "srp_effect.json", {
             "tau": args.tau,
             "timesteps": args.timesteps,
             "before": report_summary(effect.before),
             "after": report_summary(effect.after),
-        }
-        with open_output(out_dir / "srp_effect.json") as fh:
-            json.dump(payload, fh, indent=2, sort_keys=True)
+        })
         print(f"wrote {out_dir / 'srp_effect.json'}")
     return EXIT_OK
 
@@ -370,8 +367,7 @@ def cmd_verify_theorem(args) -> int:
               f"v_final={bad.v_final} a={bad.a} clause={bad.clause}",
               file=sys.stderr)
     if args.out:
-        with open_output(args.out) as fh:
-            json.dump(summary, fh, indent=2, sort_keys=True)
+        write_json(args.out, summary)
         print(f"wrote {args.out}")
     return EXIT_INVARIANT if failures else EXIT_OK
 
@@ -466,7 +462,7 @@ def main(argv=None) -> int:
     except (ParameterError, ShapeError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
-    except (DataFormatError, DataValidationError, FileNotFoundError, IsADirectoryError) as exc:
+    except (DataFormatError, DataValidationError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_DATA
     except (ConversionError, TrainingDivergenceError) as exc:

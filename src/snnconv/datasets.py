@@ -16,6 +16,7 @@ DataValidationError.
 from __future__ import annotations
 
 import csv
+import math
 import struct
 from dataclasses import dataclass
 from pathlib import Path
@@ -23,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DataValidationError, ParameterError
-from .output import open_output
+from .output import open_output, write_csv
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -51,38 +52,35 @@ def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
     return data
 
 
-def load_idx_images(path) -> np.ndarray:
-    path = Path(path)
+def _read_idx(path, magic: int, what: str) -> np.ndarray:
+    """The bytes of an IDX file shaped by its header, of rank ``magic``'s low byte."""
+    path, header = Path(path), struct.Struct(f">{1 + (magic & 0xFF)}I")
     with open(path, "rb") as fh:
-        header = _read_exact(fh, 16, 0, "image header")
-        magic, n, rows, cols = struct.unpack(">IIII", header)
-        if magic != IDX_IMAGE_MAGIC:
+        found, *shape = header.unpack(_read_exact(fh, header.size, 0, f"{what} header"))
+        if found != magic:
             raise DataFormatError(
-                f"bad image magic 0x{magic:08x} at offset 0 in {path.name}, "
-                f"expected 0x{IDX_IMAGE_MAGIC:08x}")
-        count = n * rows * cols
-        raw = _read_exact(fh, count, 16, "image payload")
-        extra = fh.read(1)
-        if extra:
-            raise DataFormatError(f"trailing bytes at offset {16 + count} in {path.name}")
-    pixels = np.frombuffer(raw, dtype=np.uint8).reshape(n, 1, rows, cols)
+                f"bad {what} magic 0x{found:08x} at offset 0 in {path.name}, "
+                f"expected 0x{magic:08x}")
+        count = math.prod(shape)
+        raw = _read_exact(fh, count, header.size, f"{what} payload")
+        if fh.read(1):
+            raise DataFormatError(f"trailing bytes at offset {header.size + count} in {path.name}")
+    return np.frombuffer(raw, dtype=np.uint8).reshape(shape)
+
+
+def _write_idx(path, magic: int, data: np.ndarray) -> None:
+    with open_output(path, "wb") as fh:
+        fh.write(struct.pack(f">{1 + data.ndim}I", magic, *data.shape))
+        fh.write(data.tobytes())
+
+
+def load_idx_images(path) -> np.ndarray:
+    pixels = _read_idx(path, IDX_IMAGE_MAGIC, "image")[:, None]
     return pixels.astype(np.float64) / 255.0
 
 
 def load_idx_labels(path) -> np.ndarray:
-    path = Path(path)
-    with open(path, "rb") as fh:
-        header = _read_exact(fh, 8, 0, "label header")
-        magic, n = struct.unpack(">II", header)
-        if magic != IDX_LABEL_MAGIC:
-            raise DataFormatError(
-                f"bad label magic 0x{magic:08x} at offset 0 in {path.name}, "
-                f"expected 0x{IDX_LABEL_MAGIC:08x}")
-        raw = _read_exact(fh, n, 8, "label payload")
-        extra = fh.read(1)
-        if extra:
-            raise DataFormatError(f"trailing bytes at offset {8 + n} in {path.name}")
-    labels = np.frombuffer(raw, dtype=np.uint8).astype(np.int64)
+    labels = _read_idx(path, IDX_LABEL_MAGIC, "label").astype(np.int64)
     bad = np.nonzero(labels >= NUM_CLASSES)[0]
     if bad.size:
         i = int(bad[0])
@@ -106,11 +104,8 @@ def write_idx_images(images: np.ndarray, path) -> None:
     images = np.asarray(images)
     if images.ndim != 4 or images.shape[1] != 1:
         raise DataValidationError(f"expected (n, 1, rows, cols), got {images.shape}")
-    n, _, rows, cols = images.shape
-    pixels = np.clip(np.rint(images * 255.0), 0, 255).astype(np.uint8)
-    with open_output(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_IMAGE_MAGIC, n, rows, cols))
-        fh.write(pixels.tobytes())
+    pixels = np.clip(np.rint(images[:, 0] * 255.0), 0, 255).astype(np.uint8)
+    _write_idx(path, IDX_IMAGE_MAGIC, pixels)
 
 
 def write_idx_labels(labels: np.ndarray, path) -> None:
@@ -119,9 +114,7 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
         raise DataValidationError(f"expected 1-d labels, got shape {labels.shape}")
     if labels.size and (labels.min() < 0 or labels.max() > 255):
         raise DataValidationError("labels must fit in an unsigned byte")
-    with open_output(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_LABEL_MAGIC, labels.size))
-        fh.write(labels.astype(np.uint8).tobytes())
+    _write_idx(path, IDX_LABEL_MAGIC, labels.astype(np.uint8))
 
 
 # ---------------------------------------------------------------------------
@@ -172,11 +165,8 @@ def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHa
 def write_csv_dataset(handle: DatasetHandle, path) -> None:
     n, _, rows, cols = handle.images.shape
     flat = handle.images.reshape(n, rows * cols)
-    with open_output(path, newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["label"] + [f"f{i}" for i in range(rows * cols)])
-        for label, vec in zip(handle.labels, flat):
-            writer.writerow([int(label)] + [f"{v:.6f}" for v in vec])
+    write_csv(path, ["label"] + [f"f{i}" for i in range(rows * cols)],
+              ([int(y)] + [f"{v:.6f}" for v in vec] for y, vec in zip(handle.labels, flat)))
 
 
 # ---------------------------------------------------------------------------

@@ -20,14 +20,13 @@ precisely the signal the two-stage masking inference uses.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
 from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks
-from .output import open_output
+from .output import write_csv
 
 
 @dataclass
@@ -172,10 +171,7 @@ class TraceRecorder:
         return rows
 
     def write_csv(self, path) -> None:
-        with open_output(path, newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["layer", "neuron", "t", "u", "s", "v"])
-            writer.writerows(self.rows)
+        write_csv(path, ["layer", "neuron", "t", "u", "s", "v"], self.rows)
 
 
 def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:

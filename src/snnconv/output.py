@@ -1,4 +1,4 @@
-"""The one way the package writes a file.
+"""The one way the package writes a file, and its JSON and CSV layouts.
 
 :func:`open_output` writes a new sibling file and, once the writer has
 finished, unlinks the old path and renames the new file into place.  A
@@ -8,12 +8,15 @@ cheap: on ext4 (default ``auto_da_alloc``) truncating a file that holds
 data, or renaming a new file over it, forces a synchronous writeback
 (40-130 ms per file on a 2-vCPU virtual machine's disk), while unlink then
 rename costs well under a millisecond.  Nothing is fsynced, so a crash may
-still lose the new bytes.
+still lose the new bytes.  :func:`write_json` and :func:`write_csv` lay out
+every JSON and CSV output.
 """
 
 from __future__ import annotations
 
+import csv
 import errno
+import json
 import os
 from contextlib import contextmanager, suppress
 
@@ -43,3 +46,17 @@ def open_output(path, mode: str = "w", **open_kwargs):
         with suppress(FileNotFoundError):
             os.unlink(temp)
         raise
+
+
+def write_json(path, payload) -> None:
+    """``payload`` as JSON indented by 2 with sorted keys, no final newline."""
+    with open_output(path) as fh:
+        json.dump(payload, fh, indent=2, sort_keys=True)
+
+
+def write_csv(path, header, rows) -> None:
+    """``header`` and ``rows`` in :mod:`csv`'s default dialect (``\\r\\n`` line ends)."""
+    with open_output(path, newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(header)
+        writer.writerows(rows)

@@ -357,6 +357,39 @@ class TestReportInput:
         with pytest.raises(ParameterError):
             srp_effect_report(snn, x, run.counts, run.phi, 2)
 
+    def test_nan_input(self, rng):
+        snn, x, run = self.two_step_run(rng)
+        x[2, 1] = np.nan
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(DataValidationError, match="NaN"):
+                report(snn, x, run.counts, 2)
+
+    def test_input_of_another_width(self, rng):
+        snn, x, run = self.two_step_run(rng)
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ShapeError, match=rf"network \({snn.input_shape[0]},\)"):
+                report(snn, x[:, 1:], run.counts, 2)
+
+    def test_counts_of_another_stage(self, rng):
+        snn = convert(random_dense_net(rng, 4, sizes=[4, 5, 6, 3]))
+        x = rng.uniform(0, 1, (5, 4))
+        counts = snn_simulate(snn, x, 2).counts
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            with pytest.raises(ShapeError, match="IF stage 0"):
+                report(snn, x, counts[::-1], 2)
+        with pytest.raises(ShapeError, match="IF stage 1"):
+            srp_effect_report(snn, x, counts, [counts[0], counts[0]], 2)
+
+    def test_nested_lists_give_the_same_report(self, rng):
+        snn = convert(random_dense_net(rng, 4, sizes=[4, 5, 6, 3]))
+        x = rng.uniform(0, 1, (5, 4))
+        counts = snn_simulate(snn, x, 2).counts
+        lists = [c.tolist() for c in counts]
+        for report in (error_type_I_distribution, error_type_II_distribution):
+            assert report(snn, x.tolist(), lists, 2) == report(snn, x, counts, 2)
+        assert srp_effect_report(snn, x, lists, lists, 2) == srp_effect_report(
+            snn, x, counts, counts, 2)
+
     def test_one_count_array_per_stage(self, rng):
         snn = convert(random_dense_net(rng, 4))
         x = rng.uniform(0, 1, (5, snn.input_shape[0]))
@@ -481,10 +514,19 @@ class TestTheoremEnumeration:
         dict(weights=[1.0, 1.0], timesteps=4, counts=[1]),
         dict(weights=[1.0], timesteps=4, counts=[5]),
         dict(weights=[1.0], timesteps=4, counts=[-1]),
+        dict(weights=[], timesteps=4, counts=[]),
     ])
     def test_refusals(self, kwargs):
         with pytest.raises(ParameterError):
             verify_theorem1(**kwargs)
+
+    def test_instance_cap(self, monkeypatch):
+        # the other caps keep every instance at or below 70**3 = 343 000
+        # placements, under MAX_INSTANCES, so the cap is lowered to reach it
+        monkeypatch.setattr(analysis, "MAX_INSTANCES", 35)
+        assert len(verify_theorem1([1.0, 1.0], 4, [1, 2])) == 24
+        with pytest.raises(ParameterError, match="36 placements exceed the enumeration cap 35"):
+            verify_theorem1([1.0, 1.0], 4, [2, 2])
 
     def test_caps_exposed(self):
         assert MAX_ENUM_TIMESTEPS == 8

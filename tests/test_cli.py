@@ -11,11 +11,12 @@ import numpy as np
 import pytest
 
 import snnconv
-from snnconv import cli
+from snnconv import analysis, cli
 from snnconv.checkpoint import load_checkpoint
 from snnconv.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
+    EXIT_INVARIANT,
     EXIT_OK,
     main,
     parse_config_file,
@@ -135,6 +136,16 @@ class TestTrainConvert:
         assert main(["train", "--data", str(data), "--out", str(model)]) == EXIT_DATA
         err = capsys.readouterr().err
         assert err.startswith("error:") and "Traceback" not in err
+        assert not model.exists()
+
+    def test_diverging_loss_exits_four(self, workspace, tmp_path, capsys):
+        model = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--epochs", "1",
+                     "--limit", "32", "--batch-size", "8", "--learning-rate", "1e200",
+                     "--out", str(model)])
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "non-finite loss" in err
         assert not model.exists()
 
     def test_csv_dataset_route(self, tmp_path):
@@ -328,6 +339,39 @@ class TestEval:
         assert code == EXIT_DATA
 
 
+class TestPathErrors:
+    """A path that cannot be read or written is a data problem (exit 3), not
+    a traceback, and leaves nothing written."""
+
+    def check(self, argv, tmp_path, capsys):
+        capsys.readouterr()
+        before = sorted(p.name for p in tmp_path.iterdir())
+        assert main(argv) == EXIT_DATA
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert sorted(p.name for p in tmp_path.iterdir()) == before
+        assert (tmp_path / "file").read_text() == "a file"
+
+    @pytest.fixture
+    def file(self, tmp_path):
+        path = tmp_path / "file"
+        path.write_text("a file")
+        return path
+
+    def test_make_data_out_below_a_file(self, file, tmp_path, capsys):
+        self.check(["make-data", "--train-count", "2", "--test-count", "2",
+                    "--out", str(file / "sub")], tmp_path, capsys)
+
+    def test_eval_out_below_a_file(self, workspace, file, tmp_path, capsys):
+        self.check(["eval", "--model", str(workspace["snn"]), "--data", str(workspace["data"]),
+                    "--timesteps", "1", "--limit", "4", "--out", str(file / "m.csv")],
+                   tmp_path, capsys)
+
+    def test_eval_model_below_a_file(self, workspace, file, tmp_path, capsys):
+        self.check(["eval", "--model", str(file / "x.ckpt"), "--data", str(workspace["data"]),
+                    "--out", str(tmp_path / "m.csv")], tmp_path, capsys)
+
+
 class TestLimit:
     @pytest.mark.parametrize("limit", ["-45", "0"])
     @pytest.mark.parametrize("command", ["train", "eval", "analyze"])
@@ -467,6 +511,23 @@ class TestVerifyTheorem:
                      "--timesteps=8"])
         assert code == EXIT_OK
         assert "87808 spike-timing placements, 0 violations" in capsys.readouterr().out
+
+    def test_violations_exit_four(self, tmp_path, capsys, monkeypatch):
+        scan = analysis.if_scan
+
+        def extra_spike(currents, theta):
+            count, v_final = scan(currents, theta)
+            return count + 1, v_final
+
+        monkeypatch.setattr(analysis, "if_scan", extra_spike)
+        out = tmp_path / "instance.json"
+        code = main(["verify-theorem", "--weights", "0.5,0.25", "--counts", "1,2",
+                     "--timesteps", "4", "--out", str(out)])
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        # every one of the 4 * 6 placements fails; five are printed
+        assert err.count("violation:") == 5
+        assert json.loads(out.read_text())["violations"] == 24
 
     def test_instance_needs_counts(self):
         assert main(["verify-theorem", "--weights", "2,-1"]) == EXIT_CONFIG

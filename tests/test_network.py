@@ -106,6 +106,22 @@ class TestPrimitives:
         with pytest.raises(ShapeError):
             conv2d_forward(layer, np.zeros((1, 2, 8, 8)))
 
+    @pytest.mark.parametrize("shape", [(1, 8, 8), (1, 1, 1, 8, 8)])
+    def test_conv_needs_nchw(self, shape):
+        layer = LayerParams("conv2d", weights=np.zeros((1, 1, 3, 3)), bias=np.zeros(1))
+        with pytest.raises(ShapeError, match="NCHW"):
+            conv2d_forward(layer, np.zeros(shape))
+
+    def test_conv_kernel_larger_than_padded_input(self):
+        layer = LayerParams("conv2d", weights=np.zeros((1, 1, 5, 5)), bias=np.zeros(1),
+                            padding=1)
+        with pytest.raises(ShapeError, match="5x5 larger than padded input 4x6"):
+            conv2d_forward(layer, np.zeros((1, 1, 2, 4)))
+
+    def test_pool_needs_nchw(self):
+        with pytest.raises(ShapeError, match="NCHW"):
+            avgpool2d_forward(LayerParams("avgpool2d", pool=2), np.zeros((1, 4, 4)))
+
     def test_pool_tiling_error(self):
         layer = LayerParams("avgpool2d", pool=2)
         with pytest.raises(ShapeError):

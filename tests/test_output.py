@@ -1,5 +1,6 @@
-"""``open_output``, the package's one write path, and the lint that keeps it
-the only one."""
+"""``open_output``, the package's one write path, ``write_json`` and
+``write_csv``, its one JSON and one CSV layout, and the lints that keep them
+the only ones."""
 
 import ast
 import os
@@ -143,3 +144,43 @@ def test_lint_flags_each_write_form():
         'open_output(p, "w")',
     ])
     assert writes_in_place(source) == [3, 4, 5, 6, 7, 8, 9]
+
+
+# ---------------------------------------------------------------------------
+# lint: no module but ``output`` lays out JSON or CSV itself
+
+
+def format_writers(source: str) -> list:
+    """Lines that call ``json.dump`` or ``csv.writer``, or import either by
+    name; ``json.dumps`` builds a string and is not flagged."""
+    lines = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.ImportFrom) and any(
+                (node.module, alias.name) in (("json", "dump"), ("csv", "writer"))
+                for alias in node.names):
+            lines.append(node.lineno)
+        elif (isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+              and isinstance(node.func.value, ast.Name)
+              and (node.func.value.id, node.func.attr) in (("json", "dump"), ("csv", "writer"))):
+            lines.append(node.lineno)
+    return sorted(lines)
+
+
+@pytest.mark.parametrize("path", MODULES, ids=lambda p: p.name)
+def test_no_module_lays_out_json_or_csv(path):
+    assert format_writers(path.read_text()) == []
+
+
+def test_lint_flags_each_format_writer():
+    source = "\n".join([
+        'json.dumps(header)',
+        'json.dump(payload, fh)',
+        'csv.writer(fh)',
+        'from json import dump',
+        'from csv import reader, writer',
+        'csv.reader(fh)',
+        'json.load(fh)',
+        'write_json(path, payload)',
+        'write_csv(path, header, rows)',
+    ])
+    assert format_writers(source) == [2, 3, 4, 5]

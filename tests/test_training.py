@@ -4,7 +4,9 @@ import numpy as np
 import pytest
 
 from snnconv import training
-from snnconv.errors import ParameterError, ShapeError, TrainingDivergenceError
+from snnconv.errors import (
+    DataValidationError, ParameterError, ShapeError, TrainingDivergenceError,
+)
 from snnconv.network import NetworkSpec, ann_forward, mlp_preset
 from snnconv.training import (
     LAM_FLOOR,
@@ -191,6 +193,11 @@ class TestTrainLoop:
         with np.errstate(all="ignore"):
             with pytest.raises(TrainingDivergenceError, match="epoch"):
                 train(net, x, y, cfg, seed=0)
+
+    def test_no_samples(self, rng):
+        net = init_network(random_dense_net(rng, 4, sizes=[6, 8, 3]), seed=0)
+        with pytest.raises(DataValidationError, match="no samples"):
+            train(net, np.zeros((0, 6)), np.zeros(0, dtype=np.int64), TrainConfig(), seed=0)
 
     def test_same_seed_bitwise_same(self, rng):
         x = rng.uniform(0, 1, (48, 5))

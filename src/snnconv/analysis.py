@@ -31,7 +31,7 @@ from __future__ import annotations
 
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
@@ -215,22 +215,6 @@ def write_report_csv(report: ErrorReport, path) -> None:
               [(layer, case, f"{fraction:.9f}") for layer, case, fraction in report_rows(report)])
 
 
-def report_summary(report: ErrorReport) -> dict:
-    return {
-        "error_type": report.error_type,
-        "layers": [
-            {
-                "layer": s.layer,
-                "units": s.units,
-                "fractions": s.fractions,
-                "mean_abs_err": s.mean_abs_err,
-                "max_abs_err": s.max_abs_err,
-            }
-            for s in report.layers
-        ],
-    }
-
-
 def plot_data(report: ErrorReport) -> dict:
     """Stacked-bar layout: one series per case over the layer axis."""
     return {
@@ -241,7 +225,7 @@ def plot_data(report: ErrorReport) -> dict:
 
 
 def write_report_json(report: ErrorReport, path) -> None:
-    write_json(path, {"summary": report_summary(report), "plot": plot_data(report)})
+    write_json(path, {"summary": asdict(report), "plot": plot_data(report)})
 
 
 # ---------------------------------------------------------------------------
@@ -250,7 +234,6 @@ def write_report_json(report: ErrorReport, path) -> None:
 
 MAX_ENUM_TIMESTEPS = 8
 MAX_PRESYN = 3
-MAX_INSTANCES = 400_000
 
 
 @dataclass
@@ -332,8 +315,9 @@ def _judge(count: np.ndarray, negative: np.ndarray, k_ann: int):
     return over == negative, "positive-activation"
 
 
-def _theorem_instance(weights, counts, timesteps: int):
-    """Shared validation; returns ``(weights, counts)`` as tuples."""
+def _theorem_instance(weights, counts, timesteps: int, theta: float):
+    """Shared validation; returns the tuples ``(weights, counts)`` and ``scale =
+    theta * T + sum_i |w_i| * k_i``, a bound on every potential, exact or not."""
     weights = tuple(float(w) for w in np.atleast_1d(weights))
     counts = tuple(int(k) for k in np.atleast_1d(counts))
     if len(weights) != len(counts):
@@ -344,7 +328,10 @@ def _theorem_instance(weights, counts, timesteps: int):
         raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
     if any(k < 0 or k > timesteps for k in counts):
         raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
-    return weights, counts
+    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
+    if not math.isfinite(scale):  # NaN or inf * 0 in a term is NaN
+        raise ParameterError(f"weights {weights} and theta {theta} must give finite potentials")
+    return weights, counts, scale
 
 
 def _placement_currents(weights, timesteps: int, placements: list) -> np.ndarray:
@@ -357,7 +344,7 @@ def _placement_currents(weights, timesteps: int, placements: list) -> np.ndarray
     return currents.T
 
 
-def _check_placements(weights, counts, timesteps: int, theta: float,
+def _check_placements(weights, counts, scale: float, timesteps: int, theta: float,
                       placements: list) -> TheoremResult:
     """Simulate every placement row with :func:`if_scan` and judge it.
 
@@ -374,9 +361,8 @@ def _check_placements(weights, counts, timesteps: int, theta: float,
     residual, k_ann = _closed_form(weights, counts, timesteps, theta)
     a = theta * k_ann / timesteps
     negative = np.array([r < 0 for r in residual])[count]
-    # rounding moves v_final by ~1e-16 of this scale; a lost or extra reset
+    # rounding moves v_final by ~1e-16 of scale; a lost or extra reset
     # moves it by theta
-    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
     conserved = np.abs(v_final - np.array([float(r) for r in residual])[count]) <= 1e-9 * scale
     passed, clause = _judge(count, negative, k_ann)
     passed &= conserved
@@ -394,35 +380,32 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> Theo
     in ``timesteps`` steps is simulated.  The quantization step count is
     tied to ``timesteps`` and the activation threshold to ``theta``.
 
-    Refuses instances beyond the exhaustive-enumeration cap.
+    Refuses instances beyond the enumeration caps or float64's range.
     """
-    weights, counts = _theorem_instance(weights, counts, timesteps)
+    weights, counts, scale = _theorem_instance(weights, counts, timesteps, theta)
     if len(weights) > MAX_PRESYN:
         raise ParameterError(f"need 1..{MAX_PRESYN} presynaptic neurons, got {len(weights)}")
     if timesteps > MAX_ENUM_TIMESTEPS:
         raise ParameterError(
             f"exhaustive enumeration supports 1..{MAX_ENUM_TIMESTEPS} steps, got {timesteps}")
-    n_instances = int(np.prod([math.comb(timesteps, k) for k in counts]))
-    if n_instances > MAX_INSTANCES:
-        raise ParameterError(
-            f"{n_instances} placements exceed the enumeration cap {MAX_INSTANCES}")
 
     options = [np.array(list(combinations(range(timesteps), k)), dtype=np.int64)
                .reshape(math.comb(timesteps, k), k) for k in counts]
     grids = np.meshgrid(*[np.arange(len(o)) for o in options], indexing="ij")
     placements = [(o, g.ravel()) for o, g in zip(options, grids)]
-    return _check_placements(weights, counts, timesteps, theta, placements)
+    return _check_placements(weights, counts, scale, timesteps, theta, placements)
 
 
 def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
-                    seed: int = 0, theta: float = 1.0) -> TheoremResult:
+                    seed: int = 0) -> TheoremResult:
     """Seeded random spike placements for instances beyond the enumeration cap.
 
-    Applies the same residual-sign clauses as :func:`verify_theorem1` but
-    draws placements instead of enumerating them, so this is a deterministic
-    spot check rather than a proof.  No limit on ``timesteps`` or fan-in.
+    Applies the same clauses and refusals as :func:`verify_theorem1` at
+    ``theta = 1``, but draws placements instead of enumerating them, so this
+    is a deterministic spot check rather than a proof.  No limit on
+    ``timesteps`` or fan-in.
     """
-    weights, counts = _theorem_instance(weights, counts, timesteps)
+    weights, counts, scale = _theorem_instance(weights, counts, timesteps, 1.0)
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
 
@@ -432,7 +415,7 @@ def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
         # the k smallest of iid uniforms form a uniform random k-subset
         order = np.argsort(rng.random((draws, timesteps)), axis=1)[:, :k]
         placements.append((np.sort(order, axis=1), np.arange(draws)))
-    return _check_placements(weights, counts, timesteps, theta, placements)
+    return _check_placements(weights, counts, scale, timesteps, 1.0, placements)
 
 
 def theorem_failures(result: TheoremResult) -> list:

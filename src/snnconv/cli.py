@@ -18,6 +18,8 @@ from __future__ import annotations
 
 import argparse
 import sys
+from dataclasses import asdict
+from functools import partial
 from pathlib import Path
 
 import numpy as np
@@ -26,7 +28,6 @@ from .analysis import (
     error_type_I_distribution,
     error_type_II_distribution,
     random_theorem_sweep,
-    report_summary,
     srp_effect_report,
     theorem_failures,
     verify_theorem1,
@@ -53,7 +54,7 @@ from .errors import (
     TrainingDivergenceError,
 )
 from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
-from .output import open_output, write_json
+from .output import check_output, open_output, write_json
 from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
 
 EXIT_OK = 0
@@ -75,18 +76,15 @@ def _parse_bool(text: str) -> bool:
     raise ParameterError(f"expected a boolean, got {text!r}")
 
 
-def _parse_int_list(text: str) -> tuple:
+def _parse_list(kind, what: str, text: str) -> tuple:
     try:
-        return tuple(int(part) for part in str(text).split(","))
+        return tuple(kind(part) for part in str(text).split(","))
     except ValueError:
-        raise ParameterError(f"expected comma-separated integers, got {text!r}") from None
+        raise ParameterError(f"expected comma-separated {what}, got {text!r}") from None
 
 
-def _parse_float_list(text: str) -> tuple:
-    try:
-        return tuple(float(part) for part in str(text).split(","))
-    except ValueError:
-        raise ParameterError(f"expected comma-separated numbers, got {text!r}") from None
+_parse_int_list = partial(_parse_list, int, "integers")
+_parse_float_list = partial(_parse_list, float, "numbers")
 
 
 def parse_config_file(path) -> dict:
@@ -273,6 +271,8 @@ def cmd_eval(args) -> int:
         raise ParameterError(f"timesteps must be >= 1, got {list(args.timesteps)}")
     if args.trace and not 0 <= args.trace_sample < len(handle):
         raise ParameterError(f"trace sample {args.trace_sample} outside dataset of {len(handle)}")
+    for path in filter(None, (args.out, args.trace)):
+        check_output(path)
 
     # Only scores are kept: each block's runs are freed before the next starts.
     ann, plain, *srp = map_blocks(lambda n, block: _block_scores(args, net, snn, n, block), x)
@@ -298,6 +298,8 @@ def cmd_eval(args) -> int:
 
 def cmd_analyze(args) -> int:
     _, snn, _, x = _load_model_and_data(args)
+    out_dir = Path(args.out)
+    check_output(out_dir / "type_I.csv")
 
     # As in eval, one block at a time; a block leaves only its runs' spike counts.
     def block_counts(n, block):
@@ -309,7 +311,6 @@ def cmd_analyze(args) -> int:
     plain, masked = counts[:len(snn.if_stages)], counts[len(snn.if_stages):]
     # The SRP effect's plain half is the Type II report: one ANN chain serves both.
     effect = srp_effect_report(snn, x, plain, masked, args.timesteps) if args.srp else None
-    out_dir = Path(args.out)
     reports = {
         "type_I": error_type_I_distribution(snn, x, plain, args.timesteps),
         "type_II": (error_type_II_distribution(snn, x, plain, args.timesteps)
@@ -324,14 +325,11 @@ def cmd_analyze(args) -> int:
         print(f"wrote {json_path}")
 
     if args.srp:
-        write_report_csv(effect.before, out_dir / "srp_before.csv")
-        write_report_csv(effect.after, out_dir / "srp_after.csv")
-        write_json(out_dir / "srp_effect.json", {
-            "tau": args.tau,
-            "timesteps": args.timesteps,
-            "before": report_summary(effect.before),
-            "after": report_summary(effect.after),
-        })
+        for name, report in (("srp_before", effect.before), ("srp_after", effect.after)):
+            write_report_csv(report, out_dir / f"{name}.csv")
+            print(f"wrote {out_dir / name}.csv")
+        write_json(out_dir / "srp_effect.json",
+                   {"tau": args.tau, "timesteps": args.timesteps, **asdict(effect)})
         print(f"wrote {out_dir / 'srp_effect.json'}")
     return EXIT_OK
 
@@ -356,6 +354,8 @@ def cmd_verify_theorem(args) -> int:
     else:
         if args.theta != 1.0:
             raise ParameterError("--theta applies only with --weights; the sweep checks theta=1")
+        if args.counts is not None:
+            raise ParameterError("--counts applies only with --weights")
         total, failures = random_theorem_sweep(args.draws, args.timesteps, seed=args.seed)
         print(f"checked {total} placements over {args.draws} draws x T in "
               f"{list(args.timesteps)}, {len(failures)} violations")

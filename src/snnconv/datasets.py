@@ -255,9 +255,9 @@ def _glyph_array(digit: int) -> np.ndarray:
     return np.array([[float(c) for c in row] for row in rows])
 
 
-def synthetic_digits(n: int, seed: int = 0, side: int = 28,
-                     max_shift: int = 3, noise: float = 0.15) -> DatasetHandle:
-    """Deterministic toy digit set in the same shape as the IDX loaders.
+def synthetic_digits(n: int, seed: int = 0, max_shift: int = 3,
+                     noise: float = 0.15) -> DatasetHandle:
+    """Deterministic toy 28x28 digit set in the same shape as the IDX loaders.
 
     Each sample upscales a 7x5 glyph by 3x, pastes it at a random offset,
     scales its intensity, and adds clipped pixel noise.
@@ -267,7 +267,7 @@ def synthetic_digits(n: int, seed: int = 0, side: int = 28,
     if not noise >= 0:
         raise ParameterError(f"noise must be >= 0, got {noise}")
     rng = np.random.default_rng(seed)
-    scale = 3
+    side, scale = 28, 3
     gh, gw = 7 * scale, 5 * scale
     images = np.zeros((n, 1, side, side))
     labels = rng.integers(0, 10, size=n)

@@ -50,7 +50,6 @@ class SnnNetwork:
     stages: list
     quant_steps: int
     input_shape: tuple
-    normalization: tuple | None = None
 
     @property
     def if_stages(self) -> list:
@@ -79,7 +78,7 @@ def convert(net: NetworkSpec) -> SnnNetwork:
     if not pending:
         raise ConversionError("network has no classifier stage after the last activation")
     stages.append(Stage(pending, theta=None))
-    return SnnNetwork(stages, net.quant_steps, net.input_shape, net.normalization)
+    return SnnNetwork(stages, net.quant_steps, net.input_shape)
 
 
 # ---------------------------------------------------------------------------

@@ -14,7 +14,7 @@ all forward functions.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import reduce
 
 import numpy as np
@@ -65,13 +65,6 @@ class LayerParams:
     def has_activation(self) -> bool:
         return self.lam is not None
 
-    def copy(self) -> "LayerParams":
-        return replace(
-            self,
-            weights=None if self.weights is None else self.weights.copy(),
-            bias=None if self.bias is None else self.bias.copy(),
-        )
-
 
 @dataclass
 class ActivationRecord:
@@ -82,9 +75,6 @@ class ActivationRecord:
     pre: list = field(default_factory=list)
     post: list = field(default_factory=list)
     inputs: list = field(default_factory=list)
-
-    def __len__(self) -> int:
-        return len(self.post)
 
 
 @dataclass
@@ -119,14 +109,6 @@ class NetworkSpec:
     @property
     def thresholds(self) -> list:
         return [l.lam for l in self.activation_layers]
-
-    def copy(self) -> "NetworkSpec":
-        return NetworkSpec(
-            layers=[l.copy() for l in self.layers],
-            quant_steps=self.quant_steps,
-            input_shape=self.input_shape,
-            normalization=self.normalization,
-        )
 
 
 # ---------------------------------------------------------------------------

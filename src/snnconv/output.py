@@ -21,6 +21,19 @@ import os
 from contextlib import contextmanager, suppress
 
 
+def check_output(path) -> str:
+    """``path``'s target, or the :class:`OSError` a directory in its way gives; creates nothing."""
+    target = os.path.realpath(path)
+    if os.fspath(path).endswith(os.sep) or os.path.isdir(target):
+        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    parent = os.path.dirname(target)
+    while not os.path.exists(parent):
+        parent = os.path.dirname(parent)
+    if not os.path.isdir(parent):
+        raise NotADirectoryError(errno.ENOTDIR, os.strerror(errno.ENOTDIR), parent)
+    return target
+
+
 @contextmanager
 def open_output(path, mode: str = "w", **open_kwargs):
     """``open(path, mode, **open_kwargs)`` for a whole new file (``mode``
@@ -30,9 +43,7 @@ def open_output(path, mode: str = "w", **open_kwargs):
     A symlinked ``path`` updates its target; missing parent directories are
     created.  Other names of a hard-linked ``path`` keep the old bytes.
     """
-    target = os.path.realpath(path)
-    if os.fspath(path).endswith(os.sep) or os.path.isdir(target):
-        raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), os.fspath(path))
+    target = check_output(path)
     parent, name = os.path.split(target)
     os.makedirs(parent, exist_ok=True)
     temp = os.path.join(parent, f".{name}.{os.getpid()}.tmp")

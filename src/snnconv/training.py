@@ -20,6 +20,8 @@ from .errors import DataValidationError, ParameterError, ShapeError, TrainingDiv
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
 
 LAM_FLOOR = 1e-3
+# float32, the checkpoint's type, rounds a magnitude from here up to inf
+FLOAT32_LIMIT = 2.0**128 - 2.0**103
 
 
 @dataclass
@@ -69,11 +71,9 @@ def sgd_step(net: NetworkSpec, grads: dict, velocities: dict,
             layer.lam = max(float(layer.lam), LAM_FLOOR)
 
 
-def init_network(net: NetworkSpec, seed: int, lam_init: float | None = None) -> NetworkSpec:
-    """Kaiming fan-in init for weights, zero biases, lam = 8/L by default."""
+def init_network(net: NetworkSpec, seed: int) -> NetworkSpec:
+    """Kaiming fan-in init for weights, zero biases, lam = 8/L."""
     rng = np.random.default_rng(seed)
-    if lam_init is None:
-        lam_init = 8.0 / net.quant_steps
     for layer in net.layers:
         if layer.weights is None:
             continue
@@ -83,7 +83,7 @@ def init_network(net: NetworkSpec, seed: int, lam_init: float | None = None) -> 
         if layer.bias is not None:
             layer.bias = np.zeros_like(layer.bias)
         if layer.lam is not None:
-            layer.lam = lam_init
+            layer.lam = 8.0 / net.quant_steps
     return net
 
 
@@ -153,8 +153,8 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
 
     The caller owns initialization (see :func:`init_network`), so training
     for zero epochs leaves the network untouched.  Raises
-    :class:`TrainingDivergenceError` as soon as the loss stops being finite,
-    with the offending epoch/batch in the message.
+    :class:`TrainingDivergenceError`, naming the epoch, once the loss or a
+    parameter in float32 (the checkpoint's type) stops being finite.
     """
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     labels = np.asarray(labels)
@@ -186,4 +186,7 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         history.loss.append(epoch_loss / x.shape[0])
         history.train_accuracy.append(correct / x.shape[0])
+        if not all(-FLOAT32_LIMIT < np.min(v) and np.max(v) < FLOAT32_LIMIT
+                   for l in net.layers for v in (l.weights, l.bias, l.lam) if v is not None):
+            raise TrainingDivergenceError(f"a parameter left float32's range at epoch {epoch}")
     return history

@@ -148,6 +148,17 @@ class TestTrainConvert:
         assert err.startswith("error:") and "non-finite loss" in err
         assert not model.exists()
 
+    def test_weights_beyond_float32_exit_four(self, workspace, tmp_path, capsys):
+        # one batch: the loss stays finite, but the step leaves weights that
+        # the checkpoint's float32 cannot hold
+        model = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--epochs", "1",
+                     "--limit", "32", "--learning-rate", "1e200", "--out", str(model)])
+        assert code == EXIT_INVARIANT
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "float32" in err
+        assert not model.exists()
+
     def test_csv_dataset_route(self, tmp_path):
         rng = np.random.default_rng(0)
         images = rng.integers(0, 256, (40, 1, 28, 28)) / 255.0
@@ -358,14 +369,36 @@ class TestPathErrors:
         path.write_text("a file")
         return path
 
+    @pytest.fixture
+    def no_simulation(self, monkeypatch):
+        """An output is checked before any simulation starts."""
+        def simulate(*args, **kwargs):
+            pytest.fail("simulation ran before the output was checked")
+
+        for name in ("snn_simulate", "srp_inference", "snn_forced_phi"):
+            monkeypatch.setattr(cli, name, simulate)
+
     def test_make_data_out_below_a_file(self, file, tmp_path, capsys):
         self.check(["make-data", "--train-count", "2", "--test-count", "2",
                     "--out", str(file / "sub")], tmp_path, capsys)
 
-    def test_eval_out_below_a_file(self, workspace, file, tmp_path, capsys):
+    def test_eval_out_below_a_file(self, workspace, file, tmp_path, capsys, no_simulation):
         self.check(["eval", "--model", str(workspace["snn"]), "--data", str(workspace["data"]),
                     "--timesteps", "1", "--limit", "4", "--out", str(file / "m.csv")],
                    tmp_path, capsys)
+
+    def test_eval_out_is_a_directory(self, workspace, file, tmp_path, capsys, no_simulation):
+        self.check(["eval", "--model", str(workspace["snn"]), "--data", str(workspace["data"]),
+                    "--limit", "4", "--srp", "--out", str(tmp_path)], tmp_path, capsys)
+
+    def test_eval_trace_below_a_file(self, workspace, file, tmp_path, capsys, no_simulation):
+        self.check(["eval", "--model", str(workspace["snn"]), "--data", str(workspace["data"]),
+                    "--limit", "4", "--out", str(tmp_path / "m.csv"),
+                    "--trace", str(file / "t.csv")], tmp_path, capsys)
+
+    def test_analyze_out_below_a_file(self, workspace, file, tmp_path, capsys, no_simulation):
+        self.check(["analyze", "--model", str(workspace["snn"]), "--data", str(workspace["data"]),
+                    "--limit", "4", "--srp", "--out", str(file / "dir")], tmp_path, capsys)
 
     def test_eval_model_below_a_file(self, workspace, file, tmp_path, capsys):
         self.check(["eval", "--model", str(file / "x.ckpt"), "--data", str(workspace["data"]),
@@ -424,12 +457,17 @@ class TestAnalyze:
         for stats in payload["summary"]["layers"]:
             assert sum(stats["fractions"].values()) == pytest.approx(1.0)
 
-    def test_srp_artifacts(self, workspace, tmp_path):
+    def test_srp_artifacts(self, workspace, tmp_path, capsys):
         out = tmp_path / "analysis"
         code = main(["analyze", "--model", str(workspace["model"]),
                      "--data", str(workspace["data"]), "--timesteps", "4",
                      "--tau", "4", "--srp", "--limit", "64", "--out", str(out)])
         assert code == EXIT_OK
+        # one "wrote" line per file written
+        assert capsys.readouterr().out.splitlines() == [
+            f"wrote {out / name}" for name in ("type_I.csv", "type_I.json", "type_II.csv",
+                                               "type_II.json", "srp_before.csv",
+                                               "srp_after.csv", "srp_effect.json")]
         for name in ("srp_before.csv", "srp_after.csv", "srp_effect.json"):
             assert (out / name).exists()
         # "before" is the plain Type II report itself
@@ -447,6 +485,13 @@ class TestAnalyze:
         assert main(argv) == EXIT_OK
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
         assert len(first) == 7  # no temp file is left beside the seven reports
+
+    def test_bad_timesteps_writes_nothing(self, workspace, tmp_path):
+        # the early output check creates no directory
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--model", str(workspace["model"]), "--data",
+                     str(workspace["data"]), "--timesteps", "0", "--out", str(out)]) == EXIT_CONFIG
+        assert not out.exists()
 
     def test_timesteps_takes_one_integer(self):
         with pytest.raises(SystemExit) as err:
@@ -531,6 +576,24 @@ class TestVerifyTheorem:
 
     def test_instance_needs_counts(self):
         assert main(["verify-theorem", "--weights", "2,-1"]) == EXIT_CONFIG
+
+    def test_sweep_rejects_counts(self, capsys):
+        code = main(["verify-theorem", "--counts=1,1", "--timesteps=2", "--draws=1"])
+        assert code == EXIT_CONFIG
+        assert "--weights" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("flags", [
+        ["--weights=1", "--counts=1", "--theta=inf"],
+        ["--weights=nan", "--counts=1"],
+        ["--weights=inf,1", "--counts=1,1"],
+        ["--weights=1e308,1e308", "--counts=2,2"],
+    ], ids=["theta-inf", "weight-nan", "weight-inf", "residual-overflow"])
+    def test_instance_beyond_float64_exits_two(self, tmp_path, flags, capsys):
+        out = tmp_path / "instance.json"
+        assert main(["verify-theorem", *flags, "--timesteps=2", f"--out={out}"]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "Traceback" not in err
+        assert not out.exists()
 
     def test_instance_takes_one_timesteps(self, capsys):
         code = main(["verify-theorem", "--weights", "1", "--counts", "1", "--timesteps", "2,4"])

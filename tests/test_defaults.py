@@ -5,7 +5,10 @@ belongs in a constant.  No linter runs on this repository, so this test is
 the check.  The scan reads every call in ``src/``, ``tests/``, ``bench/``
 and the README's Python block, and matches a call to a public function of
 ``snnconv.__all__`` by the name it calls (``f(...)`` or ``module.f(...)``).
-A call with ``*args`` or ``**kwargs`` counts as passing every parameter.
+A call with ``*args`` counts as passing every parameter.  A call with
+``**kwargs`` passes a parameter only when that name is a key of a dict
+literal, or a keyword of a ``dict(...)`` call, in the same source: a
+``**`` call whose dicts never name a parameter does not turn its knob.
 Dataclass, enum and exception constructors are skipped: their parameters
 are fields, members or messages.
 """
@@ -39,10 +42,25 @@ def defaulted(function) -> list:
             for i, p in enumerate(params) if p.default is not p.empty]
 
 
-def passes(call: ast.Call, position, name: str) -> bool:
+def dict_keys(tree: ast.AST) -> set:
+    """The string keys of every dict literal and the keywords of every
+    ``dict(...)`` call in ``tree``."""
+    keys = set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.Dict):
+            keys.update(k.value for k in node.keys
+                        if isinstance(k, ast.Constant) and isinstance(k.value, str))
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) == "dict":
+            keys.update(k.arg for k in node.keywords if k.arg)
+    return keys
+
+
+def passes(call: ast.Call, keys: set, position, name: str) -> bool:
+    """Whether ``call`` passes ``name``; ``keys`` are its source's
+    :func:`dict_keys`, the names a ``**`` argument there can hold."""
     if any(isinstance(a, ast.Starred) for a in call.args):
         return True
-    if any(k.arg is None or k.arg == name for k in call.keywords):
+    if any(k.arg == name or (k.arg is None and name in keys) for k in call.keywords):
         return True
     return position is not None and len(call.args) > position
 
@@ -52,15 +70,18 @@ def never_passed(functions: dict, texts: list) -> dict:
     parameters that no call in ``texts`` passes."""
     calls = {}
     for text in texts:
-        for node in ast.walk(ast.parse(text)):
+        tree = ast.parse(text)
+        keys = dict_keys(tree)
+        for node in ast.walk(tree):
             if isinstance(node, ast.Call):
                 func = node.func
                 called = getattr(func, "id", None) or getattr(func, "attr", None)
-                calls.setdefault(called, []).append(node)
+                calls.setdefault(called, []).append((node, keys))
     unset = {}
     for name, function in functions.items():
         params = [param for position, param in defaulted(function)
-                  if not any(passes(call, position, param) for call in calls.get(name, []))]
+                  if not any(passes(call, keys, position, param)
+                             for call, keys in calls.get(name, []))]
         if params:
             unset[name] = params
     return unset
@@ -92,7 +113,11 @@ def test_scan_matches_calls():
     def h(a=0, b=1):
         pass
 
-    texts = ["f(0, 1)\nm.g(0)\nh(*rest)\n", "f(0, c=3)\ng(0, **opts)\n"]
+    texts = ["f(0, 1)\nm.g(0)\nh(*rest)\n", "f(0, c=3)\ng(0, **opts)\nopts = {'b': 2}\n"]
     assert never_passed({"f": f, "g": g, "h": h}, texts) == {}
+    assert never_passed({"h": h}, ["h(**dict(a=1))\nh(**{'b': 2})\n"]) == {}
     assert never_passed({"f": f, "g": g, "h": h}, ["f(0)\nm.g(a=0)\nh(b=2)\n"]) == {
         "f": ["b", "c"], "g": ["b"], "h": ["a"]}
+    # a ** call passes only the names that its source's dicts hold
+    planted = ["opts = {'c': 3}\nf(0, **opts)\ng(0, **opts)\n"]
+    assert never_passed({"f": f, "g": g}, planted) == {"f": ["b"], "g": ["b"]}

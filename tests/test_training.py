@@ -153,10 +153,6 @@ class TestInit:
         assert all(np.all(l.bias == 0.0) for l in net.layers)
         assert net.thresholds == [2.0, 2.0]  # 8 / quant_steps
 
-    def test_explicit_threshold(self):
-        net = init_network(mlp_preset(4), seed=0, lam_init=1.5)
-        assert net.thresholds == [1.5, 1.5]
-
 
 class TestTrainLoop:
     def test_zero_epochs_untouched(self, rng):

@@ -27,9 +27,7 @@ from .analysis import (
     error_type_I_distribution,
     error_type_II_distribution,
     random_theorem_sweep,
-    sample_theorem1,
     srp_effect_report,
-    theorem_failures,
     verify_theorem1,
 )
 from .checkpoint import load_checkpoint, save_checkpoint
@@ -89,8 +87,7 @@ __all__ = [
     "ErrorReport", "LayerErrorStats", "SrpEffect", "TheoremResult", "TheoremVerdict",
     "UnevennessCase", "classify_cases",
     "error_type_I_distribution", "error_type_II_distribution",
-    "random_theorem_sweep", "sample_theorem1", "srp_effect_report", "theorem_failures",
-    "verify_theorem1",
+    "random_theorem_sweep", "srp_effect_report", "verify_theorem1",
     "load_checkpoint", "save_checkpoint",
     "DatasetHandle", "load_csv_dataset", "load_idx_pair",
     "standardization_stats", "standardize", "synthetic_digits",

@@ -19,9 +19,10 @@ the previous stage, isolating the error a single layer generates; Type II
 feeds it the previous stage's ``a``, i.e. compares against the ordinary
 ANN forward pass, and therefore accumulates across layers.
 
-The theorem checker enumerates every spike-timing placement for a small
-fan-in neuron at matched step counts (T == L) and verifies that a negative
-residual potential is equivalent to the neuron having over-fired:
+The theorem checker simulates every spike-timing placement for a small
+fan-in neuron at matched step counts (T == L), merging placements that reach
+the same IF state, and verifies that a negative residual potential is
+equivalent to the neuron having over-fired:
 
     (i)  a == 0:  v(T) < 0  implies  phi >= a;  phi > a  implies  v(T) < 0
     (ii) a  > 0:  v(T) < 0  if and only if  phi > a
@@ -35,12 +36,12 @@ from dataclasses import asdict, dataclass, field
 from enum import Enum
 from fractions import Fraction
 from functools import partial
-from itertools import combinations
+from itertools import combinations, islice, product
 
 import numpy as np
 
 from .activation import qcfs_level
-from .engine import SnnNetwork, _checked_input, if_scan
+from .engine import SnnNetwork, _check_theta, _checked_input, if_step
 from .errors import ParameterError, ShapeError
 from .network import map_blocks
 from .output import write_csv, write_json
@@ -251,37 +252,37 @@ class TheoremVerdict:
 
 @dataclass(eq=False)
 class TheoremResult(Sequence):
-    """Every placement's outcome for one theorem instance, as arrays.
+    """One theorem instance's outcome over every spike-timing placement.
 
-    ``phi``, ``v_final`` and ``passed`` hold one entry per placement row.
-    ``placements`` holds, per presynaptic neuron, ``(options, rows)``: an
-    integer array whose rows are candidate spike-step sets, and the option
-    each placement row uses.  ``result[i]`` builds row ``i``'s
-    :class:`TheoremVerdict` on demand, so only the rows read cost a verdict.
+    ``violations`` counts the failing placements, and ``witnesses`` holds
+    one failing :class:`TheoremVerdict` per failing ``(count, v_final)``
+    class.  ``len(result)`` is the placement count; ``result[i]`` decodes
+    row ``i``, a mixed radix over each input's
+    :func:`itertools.combinations` rank with the first input slowest, and
+    simulates that one placement.
     """
 
     weights: tuple
     counts: tuple
     timesteps: int
+    theta: float
     a: float
     clause: str
-    placements: list
-    phi: np.ndarray
-    v_final: np.ndarray
-    passed: np.ndarray
+    violations: int
+    witnesses: list
 
     def __len__(self) -> int:
-        return len(self.passed)
+        return math.prod(math.comb(self.timesteps, k) for k in self.counts)
 
     def __getitem__(self, index):
         if isinstance(index, slice):
             return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # negative indices; IndexError out of range
-        return TheoremVerdict(
-            weights=self.weights, counts=self.counts,
-            timings=tuple(tuple(options[rows[i]].tolist()) for options, rows in self.placements),
-            timesteps=self.timesteps, a=self.a, phi=float(self.phi[i]),
-            v_final=float(self.v_final[i]), clause=self.clause, passed=bool(self.passed[i]))
+        ranks = np.unravel_index(i, [math.comb(self.timesteps, k) for k in self.counts])
+        timings = tuple(next(islice(combinations(range(self.timesteps), k), r, None))
+                        for k, r in zip(self.counts, ranks))
+        ((_, verdict),) = _judged(self.weights, self.counts, self.timesteps, self.theta, timings)
+        return verdict
 
 
 def _closed_form(weights, counts, timesteps: int, theta: float):
@@ -302,22 +303,90 @@ def _closed_form(weights, counts, timesteps: int, theta: float):
     return [charge - theta * count for count in range(timesteps + 1)], k_ann
 
 
-def _judge(count: np.ndarray, negative: np.ndarray, k_ann: int):
-    """Apply the residual-sign clauses to simulated spike counts.
+def _end_states(weights, counts, timesteps: int, theta: float, timings=None) -> dict:
+    """Simulate every placement of ``counts`` spikes in ``timesteps`` steps,
+    or only the one in ``timings``, merging placements that reach one state.
 
-    When ``a == 0`` the first half of clause (i), ``v(T) < 0 => phi >= a``,
-    holds trivially because ``phi >= 0``, so only ``phi > a => v(T) < 0``
-    is tested.
+    An IF neuron's future depends only on its state: the spikes used so far
+    per input, the spikes emitted and the potential ``v``.  Each state holds
+    its number of placements, an exact int, and the first placement that
+    reached it (its witness, spike steps per input).  At each step every
+    subset of inputs that may still spike is tried; its current is
+    ``((0.0 + w1*b1) + w2*b2) + w3*b3`` and :func:`if_step` advances ``v``
+    from ``theta/2``, so each ``v`` is bit-identical to a run over the
+    placement's own current row.  Returns
+    ``{(count, v_final): (placements, witness)}``.
     """
-    over = count > k_ann
-    if k_ann == 0:
-        return ~over | negative, "zero-activation"
-    return over == negative, "positive-activation"
+    _check_theta(theta)
+    subsets = []
+    for spikes in product((False, True), repeat=len(weights)):
+        current = 0.0
+        for w, b in zip(weights, spikes):
+            current += w * b
+        subsets.append((spikes, current))
+    states = {((0,) * len(weights), 0, 0.5 * theta): [1, ((),) * len(weights)]}
+    for t in range(timesteps):
+        after = {}
+        for (used, count, v), (placements, witness) in states.items():
+            for spikes, current in subsets:
+                if timings is not None and spikes != tuple(t in steps for steps in timings):
+                    continue
+                used_next = tuple(u + b for u, b in zip(used, spikes))
+                # each input keeps enough steps for the spikes it has left
+                if not all(0 <= k - u < timesteps - t for k, u in zip(counts, used_next)):
+                    continue
+                v_next, fired = if_step(v, current, theta)
+                key = (used_next, count + fired, v_next)
+                if key in after:
+                    after[key][0] += placements
+                else:
+                    after[key] = [placements, tuple(steps + (t,) * b
+                                                    for steps, b in zip(witness, spikes))]
+        states = after
+    return {(count, v): tuple(state) for (_, count, v), state in states.items()}
 
 
-def _theorem_instance(weights, counts, timesteps: int, theta: float):
-    """Shared validation; returns the tuples ``(weights, counts)`` and ``scale =
-    theta * T + sum_i |w_i| * k_i``, a bound on every potential, exact or not."""
+def _judged(weights, counts, timesteps: int, theta: float, timings=None) -> list:
+    """Judge each ``(count, v_final)`` class of :func:`_end_states`; returns
+    ``[(placements, verdict)]``, the verdict's timings being the witness.
+
+    The spike count comes from the simulation, the residual's sign from
+    its exact closed form at that count (see :func:`_closed_form`).  When
+    ``a == 0`` the first half of clause (i), ``v(T) < 0 => phi >= a``,
+    holds trivially because ``phi >= 0``, so only ``phi > a => v(T) < 0``
+    is tested.  A class also fails if its simulated ``v_final`` strays
+    from that closed form by more than rounding, i.e. if the kernel does
+    not conserve charge.
+    """
+    states = _end_states(weights, counts, timesteps, theta, timings)
+    residual, k_ann = _closed_form(weights, counts, timesteps, theta)
+    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
+    a = theta * k_ann / timesteps
+    clause = "zero-activation" if k_ann == 0 else "positive-activation"
+    judged = []
+    for (count, v_final), (placements, witness) in states.items():
+        over, negative = count > k_ann, residual[count] < 0
+        # rounding moves v_final by ~1e-16 of scale, a lost or extra reset by theta
+        conserved = abs(v_final - float(residual[count])) <= 1e-9 * scale
+        passed = ((not over or negative) if k_ann == 0 else over == negative) and conserved
+        judged.append((placements, TheoremVerdict(
+            weights=weights, counts=counts, timings=witness, timesteps=timesteps, a=a,
+            phi=theta * (count / timesteps), v_final=v_final, clause=clause, passed=passed)))
+    return judged
+
+
+def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> TheoremResult:
+    """Simulate all spike-timing placements and check both clauses.
+
+    ``weights`` is the fan-in weight vector (at most 3 presynaptic
+    neurons); ``counts`` fixes each presynaptic spike count so that the
+    forced-input precondition holds, and every way of placing those spikes
+    in ``timesteps`` steps is simulated, placements that reach the same IF
+    state merged (see :func:`_end_states`).  The quantization step count
+    is tied to ``timesteps`` and the activation threshold to ``theta``.
+
+    Refuses instances beyond the enumeration caps or float64's range.
+    """
     weights = tuple(float(w) for w in np.atleast_1d(weights))
     counts = tuple(int(k) for k in np.atleast_1d(counts))
     if len(weights) != len(counts):
@@ -328,113 +397,36 @@ def _theorem_instance(weights, counts, timesteps: int, theta: float):
         raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
     if any(k < 0 or k > timesteps for k in counts):
         raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
-    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
-    if not math.isfinite(scale):  # NaN or inf * 0 in a term is NaN
+    # theta * T + sum_i |w_i| * k_i bounds every potential, exact or not;
+    # NaN or inf * 0 in a term is NaN
+    if not math.isfinite(theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))):
         raise ParameterError(f"weights {weights} and theta {theta} must give finite potentials")
-    return weights, counts, scale
-
-
-def _placement_currents(weights, timesteps: int, placements: list) -> np.ndarray:
-    """Postsynaptic current of every placement row, shaped ``(T, rows)``."""
-    currents = np.zeros((len(placements[0][1]), timesteps))
-    for w, (options, rows) in zip(weights, placements):
-        train = np.zeros((len(options), timesteps))
-        np.put_along_axis(train, options, 1.0, axis=1)
-        currents += w * train[rows]
-    return currents.T
-
-
-def _check_placements(weights, counts, scale: float, timesteps: int, theta: float,
-                      placements: list) -> TheoremResult:
-    """Simulate every placement row with :func:`if_scan` and judge it.
-
-    The spike count comes from the simulation, the residual's sign from
-    its exact closed form at that count (see :func:`_closed_form`).  A
-    placement also fails if the simulated ``v_final`` strays from that
-    closed form by more than rounding, i.e. if the kernel does not conserve
-    charge.  The result reports the simulated ``v_final``.
-
-    ``placements`` is laid out as in :class:`TheoremResult`.
-    """
-    count, v_final = if_scan(_placement_currents(weights, timesteps, placements), theta)
-    phi = theta * (count / timesteps)
-    residual, k_ann = _closed_form(weights, counts, timesteps, theta)
-    a = theta * k_ann / timesteps
-    negative = np.array([r < 0 for r in residual])[count]
-    # rounding moves v_final by ~1e-16 of scale; a lost or extra reset
-    # moves it by theta
-    conserved = np.abs(v_final - np.array([float(r) for r in residual])[count]) <= 1e-9 * scale
-    passed, clause = _judge(count, negative, k_ann)
-    passed &= conserved
-    return TheoremResult(weights=weights, counts=counts, timesteps=timesteps, a=a,
-                         clause=clause, placements=placements, phi=phi,
-                         v_final=v_final, passed=passed)
-
-
-def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> TheoremResult:
-    """Enumerate all spike-timing placements and check both clauses.
-
-    ``weights`` is the fan-in weight vector (at most 3 presynaptic
-    neurons); ``counts`` fixes each presynaptic spike count so that the
-    forced-input precondition holds, and every way of placing those spikes
-    in ``timesteps`` steps is simulated.  The quantization step count is
-    tied to ``timesteps`` and the activation threshold to ``theta``.
-
-    Refuses instances beyond the enumeration caps or float64's range.
-    """
-    weights, counts, scale = _theorem_instance(weights, counts, timesteps, theta)
     if len(weights) > MAX_PRESYN:
         raise ParameterError(f"need 1..{MAX_PRESYN} presynaptic neurons, got {len(weights)}")
     if timesteps > MAX_ENUM_TIMESTEPS:
         raise ParameterError(
             f"exhaustive enumeration supports 1..{MAX_ENUM_TIMESTEPS} steps, got {timesteps}")
 
-    options = [np.array(list(combinations(range(timesteps), k)), dtype=np.int64)
-               .reshape(math.comb(timesteps, k), k) for k in counts]
-    grids = np.meshgrid(*[np.arange(len(o)) for o in options], indexing="ij")
-    placements = [(o, g.ravel()) for o, g in zip(options, grids)]
-    return _check_placements(weights, counts, scale, timesteps, theta, placements)
-
-
-def sample_theorem1(weights, timesteps: int, counts, draws: int = 10_000,
-                    seed: int = 0) -> TheoremResult:
-    """Seeded random spike placements for instances beyond the enumeration cap.
-
-    Applies the same clauses and refusals as :func:`verify_theorem1` at
-    ``theta = 1``, but draws placements instead of enumerating them, so this
-    is a deterministic spot check rather than a proof.  No limit on
-    ``timesteps`` or fan-in.
-    """
-    weights, counts, scale = _theorem_instance(weights, counts, timesteps, 1.0)
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
-
-    rng = np.random.default_rng(seed)
-    placements = []
-    for k in counts:
-        # the k smallest of iid uniforms form a uniform random k-subset
-        order = np.argsort(rng.random((draws, timesteps)), axis=1)[:, :k]
-        placements.append((np.sort(order, axis=1), np.arange(draws)))
-    return _check_placements(weights, counts, scale, timesteps, 1.0, placements)
-
-
-def theorem_failures(result: TheoremResult) -> list:
-    """Verdicts of the failing placements; no verdict is built for the rest."""
-    return [result[i] for i in np.flatnonzero(~result.passed)]
+    judged = _judged(weights, counts, timesteps, theta)
+    failing = [(n, verdict) for n, verdict in judged if not verdict.passed]
+    return TheoremResult(weights=weights, counts=counts, timesteps=timesteps, theta=theta,
+                         a=judged[0][1].a, clause=judged[0][1].clause,
+                         violations=sum(n for n, _ in failing),
+                         witnesses=[verdict for _, verdict in failing])
 
 
 def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
     """Random draws of 1..MAX_PRESYN weights in [-2, 2] and spike counts
     in [0, T], each checked exhaustively.
 
-    Returns ``(n_instances, failures)`` aggregated over all draws; used by
-    the CLI and the acceptance gate.
+    Returns ``(placements, violations, witnesses)`` summed over all draws;
+    used by the CLI and the acceptance gate.
     """
     if draws < 1:
         raise ParameterError(f"draws must be >= 1, got {draws}")
     rng = np.random.default_rng(seed)
-    total = 0
-    failures = []
+    total = violations = 0
+    witnesses = []
     for timesteps in timesteps_list:
         for _ in range(draws):
             n = int(rng.integers(1, MAX_PRESYN + 1))
@@ -442,5 +434,6 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
             counts = rng.integers(0, timesteps + 1, size=n)
             result = verify_theorem1(weights, timesteps, counts)
             total += len(result)
-            failures.extend(theorem_failures(result))
-    return total, failures
+            violations += result.violations
+            witnesses += result.witnesses
+    return total, violations, witnesses

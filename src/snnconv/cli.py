@@ -29,7 +29,6 @@ from .analysis import (
     error_type_II_distribution,
     random_theorem_sweep,
     srp_effect_report,
-    theorem_failures,
     verify_theorem1,
     write_report_csv,
     write_report_json,
@@ -343,33 +342,32 @@ def cmd_verify_theorem(args) -> int:
             raise ParameterError(f"--weights takes one --timesteps, got {list(args.timesteps)}")
         timesteps = args.timesteps[0]
         result = verify_theorem1(args.weights, timesteps, args.counts, theta=args.theta)
-        failures = theorem_failures(result)
-        total = len(result)
+        total, violations, witnesses = len(result), result.violations, result.witnesses
         print(f"instance: weights={list(args.weights)} counts={list(args.counts)} "
               f"T={timesteps} theta={args.theta}")
-        print(f"checked {total} spike-timing placements, {len(failures)} violations")
-        summary = {"mode": "instance", "placements": total,
-                   "violations": len(failures),
+        print(f"checked {total} spike-timing placements, {violations} violations")
+        summary = {"mode": "instance", "placements": total, "violations": violations,
                    "a": result.a}
     else:
         if args.theta != 1.0:
             raise ParameterError("--theta applies only with --weights; the sweep checks theta=1")
         if args.counts is not None:
             raise ParameterError("--counts applies only with --weights")
-        total, failures = random_theorem_sweep(args.draws, args.timesteps, seed=args.seed)
+        total, violations, witnesses = random_theorem_sweep(args.draws, args.timesteps,
+                                                            seed=args.seed)
         print(f"checked {total} placements over {args.draws} draws x T in "
-              f"{list(args.timesteps)}, {len(failures)} violations")
+              f"{list(args.timesteps)}, {violations} violations")
         summary = {"mode": "sweep", "draws": args.draws, "placements": total,
-                   "violations": len(failures)}
+                   "violations": violations}
 
-    for bad in failures[:5]:
+    for bad in witnesses[:5]:
         print(f"violation: timings={bad.timings} phi={bad.phi} "
               f"v_final={bad.v_final} a={bad.a} clause={bad.clause}",
               file=sys.stderr)
     if args.out:
         write_json(args.out, summary)
         print(f"wrote {args.out}")
-    return EXIT_INVARIANT if failures else EXIT_OK
+    return EXIT_INVARIANT if violations else EXIT_OK
 
 
 # ---------------------------------------------------------------------------

@@ -88,9 +88,9 @@ def convert(net: NetworkSpec) -> SnnNetwork:
 def if_step(v, current, theta: float):
     """Advance IF neurons one step; returns ``(v_next, fired)``.
 
-    The only implementation of the update: the network time loop calls it
-    directly, and :func:`if_scan` (constant-current runs, the theorem
-    checker) calls it once per step.
+    The only implementation of the update: the network time loop and the
+    theorem checker call it directly, and :func:`if_scan` (constant-current
+    runs) calls it once per step.
     """
     u = v + current
     fired = u >= theta

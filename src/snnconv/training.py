@@ -153,8 +153,9 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
 
     The caller owns initialization (see :func:`init_network`), so training
     for zero epochs leaves the network untouched.  Raises
-    :class:`TrainingDivergenceError`, naming the epoch, once the loss or a
-    parameter in float32 (the checkpoint's type) stops being finite.
+    :class:`TrainingDivergenceError`, naming the epoch, once the loss, a
+    batch's arithmetic (a numpy overflow or invalid value) or a parameter
+    in float32 (the checkpoint's type) stops being finite.
     """
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     labels = np.asarray(labels)
@@ -175,13 +176,17 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
         for start in range(0, x.shape[0], config.batch_size):
             idx = order[start:start + config.batch_size]
             xb, yb = x[idx], labels[idx]
-            logits, record = ann_forward(net, xb)
-            loss, grad_logits = softmax_cross_entropy(logits, yb)
-            if not np.isfinite(loss):
-                raise TrainingDivergenceError(
-                    f"non-finite loss {loss} at epoch {epoch}, batch offset {start}")
-            grads = network_backward(net, grad_logits, record)
-            sgd_step(net, grads, velocities, config, epoch)
+            try:  # a float overflow or invalid value is divergence, not a warning
+                with np.errstate(over="raise", invalid="raise"):
+                    logits, record = ann_forward(net, xb)
+                    loss, grad_logits = softmax_cross_entropy(logits, yb)
+                    if not np.isfinite(loss):
+                        raise FloatingPointError(f"loss {loss}")
+                    grads = network_backward(net, grad_logits, record)
+                    sgd_step(net, grads, velocities, config, epoch)
+            except FloatingPointError as err:
+                raise TrainingDivergenceError(f"non-finite loss or update at epoch {epoch}, "
+                                              f"batch offset {start}: {err}") from None
             epoch_loss += loss * len(idx)
             correct += int(np.sum(np.argmax(logits, axis=1) == yb))
         history.loss.append(epoch_loss / x.shape[0])

@@ -24,7 +24,6 @@ from snnconv.analysis import (
     error_type_II_distribution,
     random_theorem_sweep,
     srp_effect_report,
-    theorem_failures,
     verify_theorem1,
 )
 from snnconv.engine import (
@@ -98,12 +97,11 @@ def test_criterion_2_even_timing_exactness():
 def test_criterion_3_placement_enumeration():
     start = time.perf_counter()
     fixture = verify_theorem1([2.0, -1.0], 6, [3, 3])
-    fixture_fails = theorem_failures(fixture)
     even = next(v for v in fixture if v.timings == ((0, 2, 4), (0, 2, 4)))
-    total, sweep_fails = random_theorem_sweep(100, (2, 4, 6), seed=0)
+    total, violations, _ = random_theorem_sweep(100, (2, 4, 6), seed=0)
     elapsed = time.perf_counter() - start
-    ok = (len(fixture) == 400 and not fixture_fails and even.phi == 0.5
-          and not sweep_fails and elapsed < 60.0)
+    ok = (len(fixture) == 400 and fixture.violations == 0 and even.phi == 0.5
+          and violations == 0 and elapsed < 60.0)
     _report(3, f"named fixture 400/400 clean (even placement rate {even.phi}), "
                f"random sweep {total} placements 0 violations in {elapsed:.1f}s "
                f"(limit 60s)", ok)

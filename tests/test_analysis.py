@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
 
@@ -8,7 +9,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from snnconv import analysis
+from snnconv import analysis, engine
 from snnconv.activation import qcfs, qcfs_level
 from snnconv.analysis import (
     ALL_CASES,
@@ -23,9 +24,7 @@ from snnconv.analysis import (
     plot_data,
     random_theorem_sweep,
     report_rows,
-    sample_theorem1,
     srp_effect_report,
-    theorem_failures,
     verify_theorem1,
     write_report_csv,
     write_report_json,
@@ -436,19 +435,44 @@ class TestSrpEffect:
         assert all(d <= 1e-12 for d in deltas)
 
 
-def _reset_to_zero(currents, theta):
-    """A broken IF kernel: it resets to zero instead of subtracting theta."""
-    v = 0.5 * theta
-    count = np.zeros(currents.shape[1:], dtype=np.int64)
-    for current in currents:
-        u = v + current
-        fired = u >= theta
-        v = np.where(fired, 0.0, u)
-        count += fired
-    return count, v
+def _reset_to_zero(v, current, theta):
+    """A broken IF update: it resets to zero instead of subtracting theta."""
+    u = v + current
+    fired = u >= theta
+    return u - u * fired, fired
 
 
-# Instances that both checkers refuse: a weight that is not finite, or
+def _oracle(weights, timesteps, counts, theta=1.0):
+    """``(count, verdict)`` of every placement row, each simulated on its own
+    with ``if_scan`` over its current row, in ``itertools.product`` order
+    over each input's combinations, and judged on exact rationals."""
+    weights, counts = tuple(map(float, weights)), tuple(map(int, counts))
+    exact = Fraction(theta)
+    charge = exact / 2 + sum(Fraction(w) * k for w, k in zip(weights, counts))
+    k_ann = min(max(int(charge // exact), 0), timesteps)
+    scale = theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))
+    rows = []
+    for timings in itertools.product(*(itertools.combinations(range(timesteps), k)
+                                       for k in counts)):
+        currents = np.zeros(timesteps)
+        for w, steps in zip(weights, timings):
+            train = np.zeros(timesteps)
+            train[list(steps)] = 1.0
+            currents += w * train
+        count, v_final = engine.if_scan(currents, theta)
+        count, v_final = int(count), float(v_final)
+        residual = charge - exact * count
+        over = count > k_ann
+        judged = (not over or residual < 0) if k_ann == 0 else over == (residual < 0)
+        rows.append((count, TheoremVerdict(
+            weights=weights, counts=counts, timings=timings, timesteps=timesteps,
+            a=theta * k_ann / timesteps, phi=theta * (count / timesteps), v_final=v_final,
+            clause="zero-activation" if k_ann == 0 else "positive-activation",
+            passed=judged and abs(v_final - float(residual)) <= 1e-9 * scale)))
+    return rows
+
+
+# Instances that the checker refuses: a weight that is not finite, or
 # potentials beyond float64's range, where the exact residual cannot be
 # compared with a simulated one.
 NON_FINITE = [
@@ -463,7 +487,7 @@ class TestTheoremEnumeration:
     def test_reference_instance(self):
         verdicts = verify_theorem1([2.0, -1.0], 6, [3, 3])
         assert len(verdicts) == 400
-        assert not theorem_failures(verdicts)
+        assert (verdicts.violations, verdicts.witnesses) == (0, [])
         assert verdicts[0].a == 0.5
         assert verdicts[0].clause == "positive-activation"
 
@@ -487,19 +511,21 @@ class TestTheoremEnumeration:
         # the clause holds because its residual potential went negative
         verdicts = verify_theorem1([0.6, -0.6], 2, [1, 1])
         assert len(verdicts) == 4
-        assert not theorem_failures(verdicts)
+        assert verdicts.violations == 0
         spiking = {v.timings: v for v in verdicts}[((0,), (1,))]
         assert spiking.a == 0.0
         assert spiking.phi == 0.5
         assert spiking.v_final == pytest.approx(-0.5)
 
     def test_zero_residual_judged_exactly(self):
-        # every placement ends with count 3 and exact v(T) = 0; the float
-        # run leaves -2.2e-16 on some, which must not read as over-firing
+        # placements that end with count 3 = k_ann have exact v(T) = 0; the
+        # float run leaves -2.2e-16 on some, which must not read as over-firing
         verdicts = verify_theorem1([0.5, -1.2, 1.7], 8, [2, 3, 3])
         assert len(verdicts) == 87808
-        assert not theorem_failures(verdicts)
-        assert min(v.v_final for v in verdicts) < 0.0  # verdicts keep the float run
+        assert (verdicts.violations, verdicts.witnesses) == (0, [])
+        ends = analysis._end_states(verdicts.weights, verdicts.counts, 8, 1.0)
+        assert sum(n for n, _ in ends.values()) == 87808
+        assert any(count == 3 and v < 0.0 for count, v in ends)  # classes keep the float run
 
     def test_decimal_weights_no_false_violations(self):
         # decimal weights put y*T/theta + 1/2 and v(T) on or a hair off
@@ -510,13 +536,15 @@ class TestTheoremEnumeration:
             for w1, w2 in itertools.product(grid, repeat=2):
                 for k1, k2 in itertools.product(range(timesteps + 1), repeat=2):
                     verdicts = verify_theorem1([w1, w2], timesteps, [k1, k2])
-                    assert not theorem_failures(verdicts), (w1, w2, k1, k2, timesteps)
+                    assert verdicts.violations == 0, (w1, w2, k1, k2, timesteps)
 
     def test_kernel_that_loses_charge_fails(self, monkeypatch):
         # the exact closed form must not make the check vacuous: a kernel
         # that resets to zero instead of subtracting theta is caught
-        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
-        assert theorem_failures(verify_theorem1([2.0, -1.0], 6, [3, 3]))
+        monkeypatch.setattr(analysis, "if_step", _reset_to_zero)
+        result = verify_theorem1([2.0, -1.0], 6, [3, 3])
+        assert result.violations > 0
+        assert result.witnesses and not any(v.passed for v in result.witnesses)
 
     @pytest.mark.parametrize("kwargs", [
         dict(weights=[1.0], timesteps=9, counts=[1]),
@@ -528,6 +556,8 @@ class TestTheoremEnumeration:
         dict(weights=[], timesteps=4, counts=[]),
         *NON_FINITE,
         dict(weights=[1.0], timesteps=2, counts=[1], theta=float("inf")),
+        dict(weights=[1.0], timesteps=2, counts=[1], theta=0.0),
+        dict(weights=[1.0], timesteps=2, counts=[1], theta=-1.0),
     ])
     def test_refusals(self, kwargs):
         with pytest.raises(ParameterError):
@@ -538,9 +568,9 @@ class TestTheoremEnumeration:
         assert MAX_PRESYN == 3
 
     def test_small_random_sweep_clean(self):
-        total, failures = random_theorem_sweep(10, (2, 4), seed=3)
+        total, violations, witnesses = random_theorem_sweep(10, (2, 4), seed=3)
         assert total > 0
-        assert failures == []
+        assert (violations, witnesses) == (0, [])
 
     @pytest.mark.parametrize("draws", [0, -4])
     def test_sweep_needs_draws(self, draws):
@@ -550,65 +580,7 @@ class TestTheoremEnumeration:
     def test_sweep_deterministic(self):
         a = random_theorem_sweep(5, (3,), seed=11)
         b = random_theorem_sweep(5, (3,), seed=11)
-        assert a[0] == b[0] and a[1] == b[1]
-
-
-class TestTheoremSampling:
-    def test_beyond_cap_passes(self):
-        verdicts = sample_theorem1([1.4, -0.8, 0.3], 12, [7, 4, 9],
-                                   draws=3000, seed=0)
-        assert len(verdicts) == 3000
-        assert not theorem_failures(verdicts)
-
-    def test_deterministic_and_seed_sensitive(self):
-        a = sample_theorem1([0.9, -0.4], 10, [5, 3], draws=200, seed=7)
-        b = sample_theorem1([0.9, -0.4], 10, [5, 3], draws=200, seed=7)
-        c = sample_theorem1([0.9, -0.4], 10, [5, 3], draws=200, seed=8)
-        assert [v.timings for v in a] == [v.timings for v in b]
-        assert [v.timings for v in a] != [v.timings for v in c]
-
-    def test_timings_are_valid_subsets(self):
-        for v in sample_theorem1([0.5, -0.5], 9, [4, 2], draws=100, seed=1):
-            for steps, k in zip(v.timings, (4, 2)):
-                assert len(steps) == k
-                assert len(set(steps)) == k
-                assert all(0 <= t < 9 for t in steps)
-
-    def test_agrees_with_enumeration_on_small_instance(self):
-        enum = verify_theorem1([0.6, -0.6], 2, [1, 1])
-        sampled = sample_theorem1([0.6, -0.6], 2, [1, 1], draws=500, seed=0)
-        verdict_of = {v.timings: (v.phi, v.v_final, v.passed) for v in enum}
-        for v in sampled:
-            phi, vf, passed = verdict_of[v.timings]
-            assert (v.phi, v.passed) == (phi, passed)
-            assert v.v_final == pytest.approx(vf)
-
-    @pytest.mark.parametrize("kwargs", [
-        dict(weights=[1.0], timesteps=0, counts=[0]),
-        dict(weights=[1.0], timesteps=4, counts=[5]),
-        dict(weights=[1.0, 1.0], timesteps=4, counts=[1]),
-        dict(weights=[1.0], timesteps=4, counts=[1], draws=0),
-        *NON_FINITE,
-    ])
-    def test_refusals(self, kwargs):
-        with pytest.raises(ParameterError):
-            sample_theorem1(**kwargs)
-
-
-def _eager_verdicts(result):
-    """One verdict per placement row, built up front from the result's
-    arrays the way the checker did before results became lazy."""
-    choices = [(list(map(tuple, options.tolist())), rows.tolist())
-               for options, rows in result.placements]
-    return [
-        TheoremVerdict(
-            weights=result.weights, counts=result.counts,
-            timings=tuple(opts[row[i]] for opts, row in choices),
-            timesteps=result.timesteps, a=result.a, phi=float(result.phi[i]),
-            v_final=float(result.v_final[i]), clause=result.clause,
-            passed=bool(result.passed[i]))
-        for i in range(len(result.phi))
-    ]
+        assert a == b
 
 
 def _python_typed(verdict):
@@ -618,52 +590,50 @@ def _python_typed(verdict):
             and type(verdict.passed) is bool)
 
 
+def _check_against_oracle(weights, timesteps, counts, theta=1.0):
+    """Assert that the merged walk agrees with :func:`_oracle` row by row,
+    class by class and in its violation count and witnesses."""
+    rows = _oracle(weights, timesteps, counts, theta)
+    result = verify_theorem1(weights, timesteps, counts, theta)
+    assert len(result) == len(rows)
+    verdicts = list(result)
+    assert verdicts == [verdict for _, verdict in rows]
+    assert all(_python_typed(v) for v in verdicts)
+    ends = analysis._end_states(result.weights, result.counts, timesteps, theta)
+    assert Counter((c, v.v_final) for c, v in rows) == {key: n for key, (n, _) in ends.items()}
+    failing = [(c, v) for c, v in rows if not v.passed]
+    assert result.violations == len(failing)
+    assert len(result.witnesses) == len({(c, v.v_final) for c, v in failing})
+    assert all(w in [v for _, v in failing] for w in result.witnesses)
+
+
 class TestTheoremResult:
-    @pytest.fixture
-    def counted(self, monkeypatch):
-        built = []
+    @pytest.mark.parametrize("args", [
+        ([2.0, -1.0], 6, [3, 3]),
+        ([0.0, 0.0], 4, [2, 3]),
+        ([0.6, -0.6], 2, [1, 1]),
+        ([1.0, -0.5, 0.3], 3, [0, 2, 3]),
+    ], ids=["reference", "zero-weights", "silencing", "zero-count"])
+    def test_lazy_verdicts_equal_eager(self, args):
+        _check_against_oracle(*args)
 
-        class CountingVerdict(TheoremVerdict):
-            def __init__(self, *args, **kwargs):
-                built.append(1)
-                super().__init__(*args, **kwargs)
-
-        monkeypatch.setattr(analysis, "TheoremVerdict", CountingVerdict)
-        return built
-
-    def test_clean_check_builds_no_verdicts(self, counted):
-        result = verify_theorem1([0.5, -1.2, 1.7], 8, [4, 4, 4])
-        assert len(result) == 343_000
-        assert theorem_failures(result) == []
-        assert len(counted) == 0
-
-    def test_failures_build_one_verdict_each(self, counted, monkeypatch):
-        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
-        result = verify_theorem1([2.0, -1.0], 6, [3, 3])
-        failures = theorem_failures(result)
-        n_failed = int((~result.passed).sum())
-        assert n_failed > 0
-        assert len(failures) == len(counted) == n_failed
-        assert not any(v.passed for v in failures)
-
-    @pytest.mark.parametrize("check", [
-        lambda: verify_theorem1([2.0, -1.0], 6, [3, 3]),
-        lambda: verify_theorem1([0.0, 0.0], 4, [2, 3]),
-        lambda: verify_theorem1([0.6, -0.6], 2, [1, 1]),
-        lambda: verify_theorem1([1.0, -0.5, 0.3], 3, [0, 2, 3]),
-        lambda: sample_theorem1([1.4, -0.8, 0.3], 12, [7, 4, 9], draws=200, seed=0),
-        lambda: sample_theorem1([0.5, -0.5], 9, [4, 0], draws=50, seed=1),
-    ], ids=["reference", "zero-weights", "silencing", "zero-count", "sampled",
-            "sampled-zero-count"])
-    def test_lazy_verdicts_equal_eager(self, check):
-        result = check()
-        verdicts = list(result)
-        assert verdicts == _eager_verdicts(result)
-        assert all(_python_typed(v) for v in verdicts)
+    @pytest.mark.parametrize("broken", [False, True], ids=["if_step", "reset-to-zero"])
+    def test_merged_walk_matches_per_placement_runs(self, broken, monkeypatch):
+        if broken:
+            monkeypatch.setattr(engine, "if_step", _reset_to_zero)
+            monkeypatch.setattr(analysis, "if_step", _reset_to_zero)
+        rng = np.random.default_rng(19)
+        for trial in range(30):
+            timesteps, n = int(rng.integers(1, 6)), int(rng.integers(1, MAX_PRESYN + 1))
+            weights = rng.uniform(-2.0, 2.0, size=n)
+            if trial % 3 == 0:
+                weights = np.round(weights, 1)
+            counts = rng.integers(0, timesteps + 1, size=n)
+            _check_against_oracle(weights, timesteps, counts, float(rng.choice([0.7, 1.0, 1.3])))
 
     def test_indexing(self):
         result = verify_theorem1([2.0, -1.0], 6, [3, 3])
-        eager = _eager_verdicts(result)
+        eager = [verdict for _, verdict in _oracle([2.0, -1.0], 6, [3, 3])]
         n = len(result)
         assert result[-1] == eager[-1] == result[n - 1]
         assert result[-n] == eager[0]
@@ -676,13 +646,15 @@ class TestTheoremResult:
                 result[index]
 
     def test_random_sweep_counts_and_failures(self, monkeypatch):
-        total, failures = random_theorem_sweep(5, (3,), seed=11)
-        assert total == sum(len(verify_theorem1(*args)) for args in _sweep_draws(5, (3,), 11))
-        assert failures == []
-        monkeypatch.setattr(analysis, "if_scan", _reset_to_zero)
-        total, failures = random_theorem_sweep(5, (3,), seed=11)
-        assert failures == [v for args in _sweep_draws(5, (3,), 11)
-                            for v in verify_theorem1(*args) if not v.passed]
+        total, violations, witnesses = random_theorem_sweep(5, (3,), seed=11)
+        results = [verify_theorem1(*args) for args in _sweep_draws(5, (3,), 11)]
+        assert total == sum(len(r) for r in results)
+        assert (violations, witnesses) == (0, [])
+        monkeypatch.setattr(analysis, "if_step", _reset_to_zero)
+        total, violations, witnesses = random_theorem_sweep(5, (3,), seed=11)
+        results = [verify_theorem1(*args) for args in _sweep_draws(5, (3,), 11)]
+        assert violations == sum(r.violations for r in results) > 0
+        assert witnesses == [w for r in results for w in r.witnesses]
 
 
 def _sweep_draws(draws, timesteps_list, seed):

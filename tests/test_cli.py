@@ -138,6 +138,7 @@ class TestTrainConvert:
         assert err.startswith("error:") and "Traceback" not in err
         assert not model.exists()
 
+    @pytest.mark.filterwarnings("error::RuntimeWarning")
     def test_diverging_loss_exits_four(self, workspace, tmp_path, capsys):
         model = tmp_path / "m.ckpt"
         code = main(["train", "--data", str(workspace["data"]), "--epochs", "1",
@@ -558,19 +559,20 @@ class TestVerifyTheorem:
         assert "87808 spike-timing placements, 0 violations" in capsys.readouterr().out
 
     def test_violations_exit_four(self, tmp_path, capsys, monkeypatch):
-        scan = analysis.if_scan
+        step = analysis.if_step
 
-        def extra_spike(currents, theta):
-            count, v_final = scan(currents, theta)
-            return count + 1, v_final
+        def leaky(v, current, theta):
+            v_next, fired = step(v, current, theta)
+            return 0.9 * v_next, fired
 
-        monkeypatch.setattr(analysis, "if_scan", extra_spike)
+        monkeypatch.setattr(analysis, "if_step", leaky)
         out = tmp_path / "instance.json"
         code = main(["verify-theorem", "--weights", "0.5,0.25", "--counts", "1,2",
                      "--timesteps", "4", "--out", str(out)])
         assert code == EXIT_INVARIANT
         err = capsys.readouterr().err
-        # every one of the 4 * 6 placements fails; five are printed
+        # every one of the 4 * 6 placements fails, each in its own
+        # (count, v_final) class; five witnesses are printed
         assert err.count("violation:") == 5
         assert json.loads(out.read_text())["violations"] == 24
 
@@ -587,7 +589,8 @@ class TestVerifyTheorem:
         ["--weights=nan", "--counts=1"],
         ["--weights=inf,1", "--counts=1,1"],
         ["--weights=1e308,1e308", "--counts=2,2"],
-    ], ids=["theta-inf", "weight-nan", "weight-inf", "residual-overflow"])
+        ["--weights=1", "--counts=1", "--theta=0"],
+    ], ids=["theta-inf", "weight-nan", "weight-inf", "residual-overflow", "theta-zero"])
     def test_instance_beyond_float64_exits_two(self, tmp_path, flags, capsys):
         out = tmp_path / "instance.json"
         assert main(["verify-theorem", *flags, "--timesteps=2", f"--out={out}"]) == EXIT_CONFIG

@@ -45,20 +45,28 @@ def qcfs(y, lam: float, steps: int):
     return lam * (qcfs_level(y, lam, steps) / steps)
 
 
-def qcfs_backward(y, lam: float, steps: int, upstream):
+def qcfs_backward(y, lam: float, steps: int, upstream, post=None):
     """Straight-through gradients of qcfs w.r.t. input and threshold.
 
     Returns ``(grad_y, grad_lam)`` where ``grad_y`` has the shape of ``y``
     and ``grad_lam`` is the scalar sum over all elements.  The pass-through
     gate is 0 <= y <= lam; the threshold gradient is the quantized output
     over lam minus the gated pass-through term y / lam.
+
+    ``post`` is the forward's output ``qcfs(y, lam, steps)``, if the caller
+    holds it; passing it saves recomputing it and leaves every bit of both
+    gradients unchanged.
     """
     _check_params(lam, steps)
     y = np.asarray(y, dtype=np.float64)
     upstream = np.asarray(upstream, dtype=np.float64)
-    gate = ((y >= 0.0) & (y <= lam)).astype(np.float64)
+    gate = (y >= 0.0) & (y <= lam)
     grad_y = upstream * gate
-    out_over_lam = qcfs(y, lam, steps) / lam
-    grad_lam = float(np.sum(upstream * (out_over_lam - (y / lam) * gate)))
+    # upstream * (post / lam - (y / lam) * gate), in two buffers, in that order
+    term = (qcfs(y, lam, steps) if post is None else post) / lam
+    gated = y / lam
+    gated *= gate
+    term -= gated
+    term *= upstream
+    grad_lam = float(np.sum(term))
     return grad_y, grad_lam
-

@@ -375,6 +375,17 @@ def _judged(weights, counts, timesteps: int, theta: float, timings=None) -> list
     return judged
 
 
+def _integer(value, name: str) -> int:
+    """``value`` as an ``int``; a value that is not a whole number (``1.5``,
+    NaN, a string) is a :class:`ParameterError`, ``2.0`` is ``2``."""
+    try:
+        if int(value) == value:
+            return int(value)
+    except (TypeError, ValueError, OverflowError):
+        pass
+    raise ParameterError(f"{name} must be a whole number, got {value}")
+
+
 def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> TheoremResult:
     """Simulate all spike-timing placements and check both clauses.
 
@@ -387,8 +398,9 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> Theo
 
     Refuses instances beyond the enumeration caps or float64's range.
     """
+    timesteps = _integer(timesteps, "timesteps")
     weights = tuple(float(w) for w in np.atleast_1d(weights))
-    counts = tuple(int(k) for k in np.atleast_1d(counts))
+    counts = tuple(_integer(k, "a spike count") for k in np.atleast_1d(counts))
     if len(weights) != len(counts):
         raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
     if not weights:

@@ -24,7 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DataValidationError, ParameterError
-from .output import open_output, write_csv
+from .output import open_output
 
 IDX_IMAGE_MAGIC = 0x00000803
 IDX_LABEL_MAGIC = 0x00000801
@@ -160,13 +160,6 @@ def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHa
     if not ((images >= 0.0) & (images <= 1.0)).all():
         raise DataValidationError(f"{path.name}: pixel values outside [0, 1] or not finite")
     return DatasetHandle(images, labels, name)
-
-
-def write_csv_dataset(handle: DatasetHandle, path) -> None:
-    n, _, rows, cols = handle.images.shape
-    flat = handle.images.reshape(n, rows * cols)
-    write_csv(path, ["label"] + [f"f{i}" for i in range(rows * cols)],
-              ([int(y)] + [f"{v:.6f}" for v in vec] for y, vec in zip(handle.labels, flat)))
 
 
 # ---------------------------------------------------------------------------

@@ -108,16 +108,18 @@ def network_backward(net: NetworkSpec, grad_logits: np.ndarray,
                      record: ActivationRecord) -> dict:
     """Backprop through all layers from the ``record`` of
     :func:`~snnconv.network.ann_forward`; quantized activations use the
-    straight-through gate.  Keys are ``(layer index, attribute name)``."""
+    straight-through gate and the record's quantized outputs, and layer 0's
+    input gradient, which nothing reads, is not computed.  Keys are
+    ``(layer index, attribute name)``."""
     grads = {}
     grad = grad_logits
-    pre = reversed(record.pre)
+    pre, post = reversed(record.pre), reversed(record.post)
     for i in reversed(range(len(net.layers))):
         layer = net.layers[i]
         if layer.has_activation:
-            grad, grad_lam = qcfs_backward(next(pre), layer.lam, net.quant_steps, grad)
+            grad, grad_lam = qcfs_backward(next(pre), layer.lam, net.quant_steps, grad, next(post))
             grads[i, "lam"] = grad_lam
-        grad, grad_w, grad_b = layer_backward(layer, record.inputs[i], grad)
+        grad, grad_w, grad_b = layer_backward(layer, record.inputs[i], grad, input_grad=i > 0)
         if grad_w is not None:
             grads[i, "weights"] = grad_w
         if grad_b is not None:

@@ -2,7 +2,18 @@
 
 import numpy as np
 
-from snnconv.network import LayerParams, NetworkSpec
+from snnconv.activation import qcfs
+from snnconv.network import LayerParams, NetworkSpec, _im2col
+from snnconv.output import write_csv
+
+
+def write_csv_dataset(handle, path) -> None:
+    """Write a dataset in the CSV layout that ``load_csv_dataset`` reads:
+    a ``label`` column, then one column per pixel."""
+    n, _, rows, cols = handle.images.shape
+    flat = handle.images.reshape(n, rows * cols)
+    write_csv(path, ["label"] + [f"f{i}" for i in range(rows * cols)],
+              ([int(y)] + [f"{v:.6f}" for v in vec] for y, vec in zip(handle.labels, flat)))
 
 
 def random_dense_net(rng, quant_steps, sizes=None, weight_scale=0.6, bias_scale=0.2):
@@ -80,3 +91,52 @@ def case1_repair_net():
     net = NetworkSpec(layers=layers, quant_steps=2, input_shape=(2,))
     x = np.array([[0.6, 0.4]])
     return net, x
+
+
+def same_bits(a, b) -> bool:
+    """Whether two arrays (or scalars) match in dtype, shape and every bit,
+    signs of zero included; ``None`` matches only ``None``."""
+    if a is None or b is None:
+        return a is b
+    a, b = np.asarray(a), np.asarray(b)
+    return a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+
+
+def reference_qcfs_backward(y, lam, steps, upstream):
+    """``qcfs_backward`` as first written: a float gate, the forward output
+    recomputed and every step in a fresh array."""
+    y = np.asarray(y, dtype=np.float64)
+    upstream = np.asarray(upstream, dtype=np.float64)
+    gate = ((y >= 0.0) & (y <= lam)).astype(np.float64)
+    grad_y = upstream * gate
+    out_over_lam = qcfs(y, lam, steps) / lam
+    return grad_y, float(np.sum(upstream * (out_over_lam - (y / lam) * gate)))
+
+
+def reference_layer_backward(layer, x, grad_out):
+    """``layer_backward`` as first written: the input gradient is always
+    computed, and conv2d contracts its ``(out, in*kh*kw)`` weight view."""
+    if layer.kind == "dense":
+        grad_b = grad_out.sum(axis=0) if layer.bias is not None else None
+        return grad_out @ layer.weights, grad_out.T @ x, grad_b
+    if layer.kind == "avgpool2d":
+        k = layer.pool
+        return np.repeat(np.repeat(grad_out, k, axis=2), k, axis=3) / (k * k), None, None
+    if layer.kind == "flatten":
+        return grad_out.reshape(x.shape), None, None
+    oc, _, kh, kw = layer.weights.shape
+    n, s, p = x.shape[0], layer.stride, layer.padding
+    xp = np.pad(x, ((0, 0), (0, 0), (p, p), (p, p))) if p else x
+    oh, ow = grad_out.shape[2:]
+    cols = _im2col(xp, kh, kw, s, oh, ow)
+    g = grad_out.reshape(n, oc, oh * ow)
+    grad_w = np.einsum("nop,nkp->ok", g, cols).reshape(layer.weights.shape)
+    grad_b = g.sum(axis=(0, 2)) if layer.bias is not None else None
+    grad_cols = np.einsum("ok,nop->nkp", layer.weights.reshape(oc, -1), g)
+    grad_cols = grad_cols.reshape(n, x.shape[1], kh, kw, oh, ow)
+    grad_xp = np.zeros_like(xp)
+    for i in range(kh):
+        for j in range(kw):
+            grad_xp[:, :, i:i + s * oh:s, j:j + s * ow:s] += grad_cols[:, :, i, j]
+    grad_x = grad_xp[:, :, p:xp.shape[2] - p, p:xp.shape[3] - p] if p else grad_xp
+    return grad_x, grad_w, grad_b

@@ -6,6 +6,8 @@ from hypothesis import strategies as st
 from snnconv.activation import qcfs, qcfs_backward
 from snnconv.errors import ParameterError
 
+from helpers import reference_qcfs_backward, same_bits
+
 lam_values = st.floats(min_value=0.1, max_value=10.0, allow_nan=False)
 step_values = st.integers(min_value=1, max_value=16)
 y_values = st.floats(min_value=-20.0, max_value=20.0, allow_nan=False)
@@ -114,3 +116,24 @@ class TestBackward:
     def test_invalid_parameters(self):
         with pytest.raises(ParameterError):
             qcfs_backward(np.array([0.3]), -1.0, 4, np.array([1.0]))
+
+
+class TestBackwardBits:
+    """Passing the forward's output changes no bit of either gradient, and
+    both match the first-written expressions."""
+
+    @pytest.mark.parametrize("shape", [(), (1,), (7,), (5, 3), (64, 8, 28, 28)])
+    def test_post_keeps_every_bit(self, shape):
+        rng = np.random.default_rng(len(shape))
+        lam, steps = 1.3, 4
+        y = rng.normal(0.6, 1.0, shape)
+        upstream = rng.normal(size=shape)
+        if shape:  # exact zeros of both signs, on and off the gate's edges
+            y[rng.random(shape) < 0.1] = -0.0
+            y[rng.random(shape) < 0.1] = lam
+            upstream[rng.random(shape) < 0.2] = -0.0
+        want = reference_qcfs_backward(y, lam, steps, upstream)
+        for got in (qcfs_backward(y, lam, steps, upstream),
+                    qcfs_backward(y, lam, steps, upstream, qcfs(y, lam, steps))):
+            assert type(got[0]) is type(want[0]) and same_bits(got[0], want[0])
+            assert type(got[1]) is float and same_bits(got[1], want[1])

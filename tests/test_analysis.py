@@ -558,10 +558,19 @@ class TestTheoremEnumeration:
         dict(weights=[1.0], timesteps=2, counts=[1], theta=float("inf")),
         dict(weights=[1.0], timesteps=2, counts=[1], theta=0.0),
         dict(weights=[1.0], timesteps=2, counts=[1], theta=-1.0),
+        dict(weights=[1.0], timesteps=2, counts=[1.5]),
+        dict(weights=[1.0], timesteps=2, counts=[float("nan")]),
+        dict(weights=[1.0], timesteps=2.5, counts=[1]),
+        dict(weights=[1.0], timesteps="2", counts=[1]),
     ])
     def test_refusals(self, kwargs):
         with pytest.raises(ParameterError):
             verify_theorem1(**kwargs)
+
+    def test_integral_floats_accepted(self):
+        result, want = verify_theorem1([1.0], 2.0, [1.0]), verify_theorem1([1.0], 2, [1])
+        assert (result.timesteps, result.counts) == (2, (1,))
+        assert (len(result), result.a, result.violations) == (len(want), want.a, want.violations)
 
     def test_caps_exposed(self):
         assert MAX_ENUM_TIMESTEPS == 8

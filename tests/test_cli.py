@@ -21,9 +21,11 @@ from snnconv.cli import (
     main,
     parse_config_file,
 )
-from snnconv.datasets import DatasetHandle, write_csv_dataset
+from snnconv.datasets import DatasetHandle
 from snnconv.errors import ParameterError
 from snnconv.network import BLOCK_ROWS
+
+from helpers import write_csv_dataset
 
 
 def read_metrics(path) -> list:

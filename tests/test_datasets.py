@@ -13,11 +13,12 @@ from snnconv.datasets import (
     standardization_stats,
     standardize,
     synthetic_digits,
-    write_csv_dataset,
     write_idx_images,
     write_idx_labels,
 )
 from snnconv.errors import DataFormatError, DataValidationError, ParameterError
+
+from helpers import write_csv_dataset
 
 
 def pack_images(path, pixels, rows=28, cols=28, magic=0x00000803):

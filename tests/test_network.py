@@ -13,10 +13,11 @@ from snnconv.network import (
     dense_forward,
     layer_backward,
     layer_forward,
+    layer_output_shape,
     mlp_preset,
 )
 
-from helpers import dense
+from helpers import dense, reference_layer_backward, same_bits
 
 
 def naive_conv2d(weights, bias, x, stride, padding):
@@ -184,6 +185,60 @@ class TestBackward:
         g = rng.normal(size=(2, 1, 2, 2))
         grad_x, _, _ = layer_backward(layer, x, g)
         assert np.allclose(grad_x, finite_difference(layer, x, g, x), atol=1e-5)
+
+
+def conv_case(rng, n, c, oc, h, w, k, stride, padding):
+    """A conv layer, an input and an output gradient with exact zeros of
+    both signs sprinkled into the weights and the gradient."""
+    weights = rng.normal(size=(oc, c, k, k))
+    weights[rng.random(weights.shape) < 0.1] = 0.0
+    layer = LayerParams("conv2d", weights=weights, bias=rng.normal(size=oc),
+                        stride=stride, padding=padding)
+    x = rng.normal(size=(n, c, h, w))
+    g = rng.normal(size=layer_output_shape(layer, x.shape))
+    g[rng.random(g.shape) < 0.1] = 0.0
+    g[rng.random(g.shape) < 0.1] = -0.0
+    return layer, x, g
+
+
+class TestBackwardBits:
+    """The training backward keeps every bit of the first-written one."""
+
+    def test_conv_matches_reference_on_random_shapes(self):
+        # odd and even sizes, one output pixel included, and gradients laid
+        # out channels-last, whose channel axis is contiguous
+        rng = np.random.default_rng(21)
+        for case in range(60):
+            stride, padding = int(rng.integers(1, 3)), int(rng.integers(0, 3))
+            k = int(rng.integers(1, 6))
+            h, w = (int(v) for v in rng.integers(max(1, k - 2 * padding), 18, 2))
+            layer, x, g = conv_case(rng, int(rng.integers(1, 12)), int(rng.integers(1, 7)),
+                                    int(rng.integers(1, 21)), h, w, k, stride, padding)
+            if case % 2:
+                g = np.moveaxis(np.ascontiguousarray(np.moveaxis(g, 1, 3)), 3, 1)
+            got, want = layer_backward(layer, x, g), reference_layer_backward(layer, x, g)
+            assert all(same_bits(a, b) for a, b in zip(got, want)), (layer.weights.shape, x.shape)
+
+    @pytest.mark.parametrize("n,c,oc,side", [(64, 1, 8, 28), (64, 8, 16, 14)])
+    def test_conv_matches_reference_on_preset_shapes(self, n, c, oc, side):
+        layer, x, g = conv_case(np.random.default_rng(side), n, c, oc, side, side, 3, 1, 1)
+        got, want = layer_backward(layer, x, g), reference_layer_backward(layer, x, g)
+        assert all(same_bits(a, b) for a, b in zip(got, want))
+
+    @pytest.mark.parametrize("kind", ["dense", "conv2d", "avgpool2d", "flatten"])
+    def test_input_grad_off_keeps_parameter_grads(self, rng, kind):
+        if kind == "dense":
+            layer, x = dense(rng.normal(size=(5, 7)), rng.normal(size=5)), rng.normal(size=(6, 7))
+        elif kind == "conv2d":
+            layer, x, _ = conv_case(rng, 3, 2, 4, 7, 9, 3, 2, 1)
+        else:
+            layer, x = LayerParams(kind), rng.normal(size=(2, 3, 4, 6))
+        g = rng.normal(size=layer_output_shape(layer, x.shape))
+        grad_x, grad_w, grad_b = layer_backward(layer, x, g, input_grad=False)
+        full = layer_backward(layer, x, g)
+        assert grad_x is None and full[0] is not None
+        assert same_bits(grad_w, full[1]) and same_bits(grad_b, full[2])
+        assert (grad_w is None) == (kind not in ("dense", "conv2d"))
 
 
 class TestValidation:

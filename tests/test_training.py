@@ -7,20 +7,59 @@ from snnconv import training
 from snnconv.errors import (
     DataValidationError, ParameterError, ShapeError, TrainingDivergenceError,
 )
-from snnconv.network import NetworkSpec, ann_forward, mlp_preset
+from snnconv.network import LayerParams, NetworkSpec, ann_forward, mlp_preset
 from snnconv.training import (
     LAM_FLOOR,
     TrainConfig,
     accuracy,
     cosine_lr,
     init_network,
+    network_backward,
     prepare_inputs,
     sgd_step,
     softmax_cross_entropy,
     train,
 )
 
-from helpers import dense, random_dense_net
+from helpers import (
+    dense, random_dense_net, reference_layer_backward, reference_qcfs_backward, same_bits,
+)
+
+
+def reference_network_backward(net, grad_logits, record):
+    """``network_backward`` as first written: every layer's input gradient,
+    layer 0's included, and the quantized outputs recomputed."""
+    grads = {}
+    grad = grad_logits
+    pre = reversed(record.pre)
+    for i in reversed(range(len(net.layers))):
+        layer = net.layers[i]
+        if layer.has_activation:
+            grad, grads[i, "lam"] = reference_qcfs_backward(next(pre), layer.lam,
+                                                            net.quant_steps, grad)
+        grad, grad_w, grad_b = reference_layer_backward(layer, record.inputs[i], grad)
+        if grad_w is not None:
+            grads[i, "weights"] = grad_w
+        if grad_b is not None:
+            grads[i, "bias"] = grad_b
+    return grads
+
+
+def small_cnn(rng) -> NetworkSpec:
+    """conv, pool, strided conv, pool, flatten, dense, dense on 2x12x12."""
+    def conv(shape, **kw):
+        return LayerParams("conv2d", rng.normal(0.0, 0.5, shape), rng.normal(0.0, 0.2, shape[0]),
+                           **kw)
+    layers = [
+        conv((4, 2, 3, 3), lam=1.0, padding=1),
+        LayerParams("avgpool2d", pool=2),
+        conv((5, 4, 3, 3), lam=1.5, stride=2, padding=1),
+        LayerParams("avgpool2d", pool=3),
+        LayerParams("flatten"),
+        dense(rng.normal(0.0, 0.5, (6, 5)), rng.normal(0.0, 0.2, 6), lam=0.8),
+        dense(rng.normal(0.0, 0.5, (3, 6)), rng.normal(0.0, 0.2, 3)),
+    ]
+    return NetworkSpec(layers, 4, (2, 12, 12))
 
 
 class TestCosineSchedule:
@@ -223,6 +262,38 @@ class TestTrainLoop:
         history = train(net, x, y, TrainConfig(epochs=20, batch_size=32), seed=5)
         assert accuracy(net, x, y) >= 0.99
         assert history.loss[-1] < history.loss[0]
+
+
+class TestBackwardBits:
+    """The training backward gives the first-written backward's gradients,
+    key for key and bit for bit, and so the same trained parameters."""
+
+    @pytest.mark.parametrize("build,shape", [
+        (lambda rng: random_dense_net(rng, 4, sizes=[6, 9, 7, 3]), (6,)),
+        (small_cnn, (2, 12, 12)),
+    ])
+    def test_grads_match_reference(self, build, shape):
+        rng = np.random.default_rng(4)
+        net = build(rng)
+        x = rng.normal(size=(16, *shape))
+        logits, record = ann_forward(net, x)
+        _, grad_logits = softmax_cross_entropy(logits, rng.integers(0, 3, 16))
+        got = network_backward(net, grad_logits, record)
+        want = reference_network_backward(net, grad_logits, record)
+        assert list(got) == list(want)
+        assert all(same_bits(got[key], want[key]) for key in want)
+
+    def test_trained_parameters_match_reference(self, monkeypatch):
+        rng = np.random.default_rng(6)
+        x, y = rng.normal(size=(40, 2, 12, 12)), rng.integers(0, 3, 40)
+        nets = []
+        for backward in (network_backward, reference_network_backward):
+            monkeypatch.setattr(training, "network_backward", backward)
+            net = small_cnn(np.random.default_rng(6))
+            train(net, x, y, TrainConfig(epochs=2, batch_size=16), seed=0)
+            nets.append(net)
+        for a, b in zip(*(net.layers for net in nets)):
+            assert all(same_bits(getattr(a, k), getattr(b, k)) for k in ("weights", "bias", "lam"))
 
 
 class TestHelpers:

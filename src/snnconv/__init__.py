@@ -47,7 +47,6 @@ from .engine import (
     constant_current_phi,
     convert,
     even_timing_phi,
-    if_scan,
     if_step,
     snn_forced_phi,
     snn_simulate,
@@ -93,7 +92,7 @@ __all__ = [
     "standardization_stats", "standardize", "synthetic_digits",
     "SimResult", "SnnNetwork", "Stage", "TraceRecorder",
     "constant_current_phi", "convert",
-    "even_timing_phi", "if_scan", "if_step", "snn_forced_phi", "snn_simulate",
+    "even_timing_phi", "if_step", "snn_forced_phi", "snn_simulate",
     "srp_inference",
     "ConversionError", "DataFormatError", "DataValidationError",
     "ParameterError", "ShapeError", "SnnConvError",

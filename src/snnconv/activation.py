@@ -18,14 +18,12 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import positive, whole
 
 
 def _check_params(lam, steps) -> None:
-    if not np.all(np.asarray(lam) > 0):
-        raise ParameterError(f"activation threshold must be positive, got {lam}")
-    if int(steps) < 1 or int(steps) != steps:
-        raise ParameterError(f"quantization steps must be a positive integer, got {steps}")
+    positive(lam, "activation threshold")
+    whole(steps, "quantization steps")
 
 
 def qcfs_level(y, lam: float, steps: int):

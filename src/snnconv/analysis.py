@@ -41,8 +41,8 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from .activation import qcfs_level
-from .engine import SnnNetwork, _check_theta, _checked_input, if_step
-from .errors import ParameterError, ShapeError
+from .engine import SnnNetwork, _checked_input, if_step
+from .errors import ParameterError, ShapeError, positive, whole
 from .network import map_blocks
 from .output import write_csv, write_json
 
@@ -69,9 +69,8 @@ def classify_cases(counts, levels, timesteps: int, steps: int) -> np.ndarray:
     ``a == lam``.  Every comparison is exact.  Raises unless ``T`` and ``L``
     are integers >= 1, ``counts`` integers in [0, T] and ``levels`` in [0, L].
     """
-    for name, top in (("timesteps", timesteps), ("steps", steps)):
-        if not isinstance(top, (int, np.integer)) or top < 1:
-            raise ParameterError(f"{name} must be an integer >= 1, got {top!r}")
+    whole(timesteps, "timesteps")
+    whole(steps, "steps")
     counts, levels = np.asarray(counts), np.asarray(levels)
     for name, values, top in (("spike counts", counts, timesteps), ("ANN levels", levels, steps)):
         if values.dtype.kind not in "iu" or np.any(values < 0) or np.any(values > top):
@@ -317,7 +316,6 @@ def _end_states(weights, counts, timesteps: int, theta: float, timings=None) -> 
     placement's own current row.  Returns
     ``{(count, v_final): (placements, witness)}``.
     """
-    _check_theta(theta)
     subsets = []
     for spikes in product((False, True), repeat=len(weights)):
         current = 0.0
@@ -375,17 +373,6 @@ def _judged(weights, counts, timesteps: int, theta: float, timings=None) -> list
     return judged
 
 
-def _integer(value, name: str) -> int:
-    """``value`` as an ``int``; a value that is not a whole number (``1.5``,
-    NaN, a string) is a :class:`ParameterError`, ``2.0`` is ``2``."""
-    try:
-        if int(value) == value:
-            return int(value)
-    except (TypeError, ValueError, OverflowError):
-        pass
-    raise ParameterError(f"{name} must be a whole number, got {value}")
-
-
 def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> TheoremResult:
     """Simulate all spike-timing placements and check both clauses.
 
@@ -398,16 +385,15 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> Theo
 
     Refuses instances beyond the enumeration caps or float64's range.
     """
-    timesteps = _integer(timesteps, "timesteps")
+    timesteps = whole(timesteps, "timesteps")
+    positive(theta, "theta")
     weights = tuple(float(w) for w in np.atleast_1d(weights))
-    counts = tuple(_integer(k, "a spike count") for k in np.atleast_1d(counts))
+    counts = tuple(whole(k, "a spike count", 0) for k in np.atleast_1d(counts))
     if len(weights) != len(counts):
         raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
     if not weights:
         raise ParameterError("need at least one presynaptic neuron")
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
-    if any(k < 0 or k > timesteps for k in counts):
+    if any(k > timesteps for k in counts):
         raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
     # theta * T + sum_i |w_i| * k_i bounds every potential, exact or not;
     # NaN or inf * 0 in a term is NaN
@@ -434,8 +420,8 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
     Returns ``(placements, violations, witnesses)`` summed over all draws;
     used by the CLI and the acceptance gate.
     """
-    if draws < 1:
-        raise ParameterError(f"draws must be >= 1, got {draws}")
+    whole(draws, "draws")
+    timesteps_list = [whole(timesteps, "timesteps") for timesteps in timesteps_list]
     rng = np.random.default_rng(seed)
     total = violations = 0
     witnesses = []

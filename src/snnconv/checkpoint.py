@@ -136,45 +136,47 @@ def load_checkpoint(path):
         bad = int(np.argmin(finite))
         raise DataFormatError(f"non-finite payload value at byte {header_end + 4 * bad}")
 
-    entries = _field(header, "layers",
-                     lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
-    layers = []
-    offset = 0
-    for entry in entries:
-        kind = entry.get("kind")
-        if kind in WEIGHTED_KINDS:
-            rank = 2 if kind == "dense" else 4
-            shape = tuple(_field(entry, "shape", lambda v: _counts(v, rank)))
-            has_bias = _field(entry, "has_bias", lambda v: type(v) is bool, False)
-            split = offset + math.prod(shape)
-            end = split + (shape[0] if has_bias else 0)
-            if end > payload.size:
-                raise DataFormatError(f"payload has {payload.size} floats but layers need {end}")
-            w = payload[offset:split].astype(np.float64).reshape(shape)
-            b = payload[split:end].astype(np.float64) if has_bias else None
-            offset = end
-            layers.append(LayerParams(
-                kind=kind, weights=w, bias=b,
-                lam=_field(entry, "lam", lambda v: v is None or (_number(v) and v > 0), None),
-                stride=_field(entry, "stride", _count, 1),
-                padding=_field(entry, "padding", lambda v: _count(v, 0), 0)))
-        elif kind == "avgpool2d":
-            layers.append(LayerParams(kind=kind, pool=_field(entry, "pool", _count)))
-        elif kind == "flatten":
-            layers.append(LayerParams(kind=kind))
-        else:
-            raise DataFormatError(f"unknown layer kind {kind!r} in checkpoint header")
-    if offset != payload.size:
-        raise DataFormatError(
-            f"payload has {payload.size} floats but layers consume {offset}")
-
-    normalization = _field(
-        header, "normalization",
-        lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_number, v))),
-        None)
-    quant_steps = _field(header, "quant_steps", _count)
-    input_shape = tuple(_field(header, "input_shape", _counts))
+    # LayerParams and NetworkSpec check each threshold and quant_steps
     try:
+        entries = _field(header, "layers",
+                         lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
+        layers = []
+        offset = 0
+        for entry in entries:
+            kind = entry.get("kind")
+            if kind in WEIGHTED_KINDS:
+                rank = 2 if kind == "dense" else 4
+                shape = tuple(_field(entry, "shape", lambda v: _counts(v, rank)))
+                has_bias = _field(entry, "has_bias", lambda v: type(v) is bool, False)
+                split = offset + math.prod(shape)
+                end = split + (shape[0] if has_bias else 0)
+                if end > payload.size:
+                    raise DataFormatError(
+                        f"payload has {payload.size} floats but layers need {end}")
+                w = payload[offset:split].astype(np.float64).reshape(shape)
+                b = payload[split:end].astype(np.float64) if has_bias else None
+                offset = end
+                layers.append(LayerParams(
+                    kind=kind, weights=w, bias=b,
+                    lam=_field(entry, "lam", lambda v: v is None or _number(v), None),
+                    stride=_field(entry, "stride", _count, 1),
+                    padding=_field(entry, "padding", lambda v: _count(v, 0), 0)))
+            elif kind == "avgpool2d":
+                layers.append(LayerParams(kind=kind, pool=_field(entry, "pool", _count)))
+            elif kind == "flatten":
+                layers.append(LayerParams(kind=kind))
+            else:
+                raise DataFormatError(f"unknown layer kind {kind!r} in checkpoint header")
+        if offset != payload.size:
+            raise DataFormatError(
+                f"payload has {payload.size} floats but layers consume {offset}")
+
+        normalization = _field(
+            header, "normalization",
+            lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_number, v))),
+            None)
+        quant_steps = _field(header, "quant_steps", lambda v: type(v) is int)
+        input_shape = tuple(_field(header, "input_shape", _counts))
         net = NetworkSpec(layers, quant_steps, input_shape,
                           tuple(normalization) if normalization else None)
         shape = (1, *input_shape)

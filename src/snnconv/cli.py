@@ -51,6 +51,7 @@ from .errors import (
     ParameterError,
     ShapeError,
     TrainingDivergenceError,
+    whole,
 )
 from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
 from .output import check_output, open_output, write_json
@@ -167,11 +168,7 @@ def _require(args, *names) -> None:
 
 
 def _limited(handle: DatasetHandle, limit) -> DatasetHandle:
-    if limit is None:
-        return handle
-    if limit < 1:
-        raise ParameterError(f"--limit must be >= 1, got {limit}")
-    return handle.subset(slice(0, limit))
+    return handle if limit is None else handle.subset(slice(0, whole(limit, "--limit")))
 
 
 def _load_model_and_data(args):
@@ -266,8 +263,8 @@ def _block_scores(args, net, snn, n: int, block: np.ndarray) -> list:
 
 def cmd_eval(args) -> int:
     net, snn, handle, x = _load_model_and_data(args)
-    if min(args.timesteps) < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {list(args.timesteps)}")
+    for timesteps in args.timesteps:
+        whole(timesteps, "timesteps")
     if args.trace and not 0 <= args.trace_sample < len(handle):
         raise ParameterError(f"trace sample {args.trace_sample} outside dataset of {len(handle)}")
     for path in filter(None, (args.out, args.trace)):

@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DataValidationError, ParameterError
+from .errors import DataFormatError, DataValidationError, ParameterError, whole
 from .output import open_output
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -255,10 +255,9 @@ def synthetic_digits(n: int, seed: int = 0, max_shift: int = 3,
     Each sample upscales a 7x5 glyph by 3x, pastes it at a random offset,
     scales its intensity, and adds clipped pixel noise.
     """
-    if n < 0:
-        raise ParameterError(f"sample count must be >= 0, got {n}")
-    if not noise >= 0:
-        raise ParameterError(f"noise must be >= 0, got {noise}")
+    whole(n, "sample count", 0)
+    if not 0 <= noise < math.inf:
+        raise ParameterError(f"noise must be finite and >= 0, got {noise}")
     rng = np.random.default_rng(seed)
     side, scale = 28, 3
     gh, gw = 7 * scale, 5 * scale

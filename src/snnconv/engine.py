@@ -24,7 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError, DataValidationError, ParameterError, ShapeError
+from .errors import ConversionError, DataValidationError, ShapeError, positive, whole
 from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks
 from .output import write_csv
 
@@ -88,32 +88,13 @@ def convert(net: NetworkSpec) -> SnnNetwork:
 def if_step(v, current, theta: float):
     """Advance IF neurons one step; returns ``(v_next, fired)``.
 
-    The only implementation of the update: the network time loop and the
-    theorem checker call it directly, and :func:`if_scan` (constant-current
-    runs) calls it once per step.
+    The only implementation of the update: the network time loop, the
+    constant-current run and the theorem checker call it once per step.
+    It checks nothing; its callers check ``theta`` once per run.
     """
     u = v + current
     fired = u >= theta
     return u - theta * fired, fired
-
-
-def _check_theta(theta: float) -> None:
-    if not theta > 0:
-        raise ParameterError(f"firing threshold must be positive, got {theta}")
-
-
-def if_scan(currents: np.ndarray, theta: float):
-    """Run one IF bank from ``theta/2`` over ``currents[T, ...]``.
-
-    Returns ``(spike_count, v_final)`` with the shape of one step's current.
-    """
-    _check_theta(theta)
-    v = 0.5 * theta
-    count = np.zeros(np.shape(currents)[1:], dtype=np.int64)
-    for current in currents:
-        v, fired = if_step(v, current, theta)
-        count += fired
-    return count, v
 
 
 @dataclass
@@ -175,10 +156,9 @@ class TraceRecorder:
 
 def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
     for name, value in step_counts.items():
-        if value < 1:
-            raise ParameterError(f"{name} must be >= 1, got {value}")
+        whole(value, name)
     for theta in snn.thetas:
-        _check_theta(theta)
+        positive(theta, "firing threshold")
     x = np.asarray(x, dtype=np.float64)
     if x.shape[1:] != snn.input_shape:
         raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
@@ -297,9 +277,8 @@ def even_timing_phi(y, theta: float, timesteps: int, v0: float):
     quantization step count and v0 = theta/2 this coincides with the
     quantized activation pointwise, ties included.
     """
-    _check_theta(theta)
-    if timesteps < 1:
-        raise ParameterError(f"timesteps must be >= 1, got {timesteps}")
+    positive(theta, "firing threshold")
+    whole(timesteps, "timesteps")
     y = np.asarray(y, dtype=np.float64)
     k = np.floor(y * timesteps / theta + v0 / theta)
     return np.clip((theta / timesteps) * k, 0.0, theta)
@@ -311,8 +290,12 @@ def constant_current_phi(current: np.ndarray, theta: float, timesteps: int) -> n
     This is the simulation-side counterpart of :func:`even_timing_phi` and
     deliberately does not use the closed form.
     """
+    positive(theta, "firing threshold")
     current = np.asarray(current, dtype=np.float64)
-    count, _ = if_scan(np.broadcast_to(current, (timesteps, *current.shape)), theta)
+    v, count = 0.5 * theta, np.zeros(current.shape, dtype=np.int64)
+    for _ in range(whole(timesteps, "timesteps")):
+        v, fired = if_step(v, current, theta)
+        count += fired
     return theta * (count / timesteps)
 
 

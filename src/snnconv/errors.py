@@ -1,8 +1,18 @@
-"""Exception hierarchy shared across the package.
+"""Exception hierarchy shared across the package, and the one rule for its
+scalar parameters.
 
 The CLI maps these onto exit codes (config=2, data=3, invariant=4), so
 library code should raise the most specific class that applies.
+
+Every step count, spike count and sample count goes through :func:`whole`,
+and every threshold and the learning rate through :func:`positive`: a count
+is an ``int`` or a numpy integer (``2.0`` is refused, as by ``range``), and a
+threshold is a finite number above zero.  Both raise :class:`ParameterError`
+otherwise; neither is called inside a per-step loop.
 """
+
+import math
+import operator
 
 
 class SnnConvError(Exception):
@@ -11,6 +21,27 @@ class SnnConvError(Exception):
 
 class ParameterError(SnnConvError):
     """Invalid scalar parameter (non-positive threshold, T < 1, ...)."""
+
+
+def whole(value, name: str, least: int = 1) -> int:
+    """``value`` as an ``int`` by Python's index rule, if it is at least ``least``."""
+    try:
+        value = operator.index(value)
+    except TypeError:
+        raise ParameterError(f"{name} must be an integer, got {value!r}") from None
+    if value < least:
+        raise ParameterError(f"{name} must be >= {least}, got {value}")
+    return value
+
+
+def positive(value, name: str) -> None:
+    """Refuse ``value`` unless it is a finite number above zero."""
+    try:
+        if 0 < value < math.inf:
+            return
+    except (TypeError, ValueError):
+        pass
+    raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class ShapeError(SnnConvError):

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .activation import qcfs
-from .errors import DataValidationError, ParameterError, ShapeError
+from .errors import DataValidationError, ParameterError, ShapeError, positive, whole
 
 WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "avgpool2d", "flatten")
@@ -56,8 +56,8 @@ class LayerParams:
     def __post_init__(self):
         if self.kind not in LAYER_KINDS:
             raise ParameterError(f"unknown layer kind {self.kind!r}")
-        if self.lam is not None and self.lam <= 0:
-            raise ParameterError(f"layer threshold must be positive, got {self.lam}")
+        if self.lam is not None:
+            positive(self.lam, "layer threshold")
         if self.kind in WEIGHTED_KINDS and self.weights is None:
             raise ParameterError(f"{self.kind} layer requires weights")
 
@@ -88,8 +88,7 @@ class NetworkSpec:
 
     def __post_init__(self):
         self.input_shape = tuple(self.input_shape)
-        if self.quant_steps < 1:
-            raise ParameterError(f"quant_steps must be >= 1, got {self.quant_steps}")
+        whole(self.quant_steps, "quant_steps")
         weighted = [l for l in self.layers if l.kind in WEIGHTED_KINDS]
         if not weighted:
             raise ParameterError("network needs at least one weighted layer")

@@ -17,6 +17,7 @@ import numpy as np
 
 from .activation import qcfs_backward
 from .errors import DataValidationError, ParameterError, ShapeError, TrainingDivergenceError
+from .errors import positive, whole
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
 
 LAM_FLOOR = 1e-3
@@ -33,16 +34,13 @@ class TrainConfig:
     batch_size: int = 64
 
     def __post_init__(self):
-        if self.learning_rate <= 0:
-            raise ParameterError(f"learning rate must be positive, got {self.learning_rate}")
+        positive(self.learning_rate, "learning rate")
         if not 0 <= self.momentum < 1:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if self.weight_decay < 0:
-            raise ParameterError(f"weight decay must be non-negative, got {self.weight_decay}")
-        if self.epochs < 0:
-            raise ParameterError(f"epochs must be >= 0, got {self.epochs}")
-        if self.batch_size < 1:
-            raise ParameterError(f"batch size must be >= 1, got {self.batch_size}")
+        if not 0 <= self.weight_decay < math.inf:
+            raise ParameterError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
+        whole(self.epochs, "epochs", 0)
+        whole(self.batch_size, "batch size")
 
 
 def cosine_lr(config: TrainConfig, epoch: int) -> float:

@@ -2,6 +2,7 @@
 
 import numpy as np
 
+from snnconv import engine
 from snnconv.activation import qcfs
 from snnconv.network import LayerParams, NetworkSpec, _im2col
 from snnconv.output import write_csv
@@ -14,6 +15,17 @@ def write_csv_dataset(handle, path) -> None:
     flat = handle.images.reshape(n, rows * cols)
     write_csv(path, ["label"] + [f"f{i}" for i in range(rows * cols)],
               ([int(y)] + [f"{v:.6f}" for v in vec] for y, vec in zip(handle.labels, flat)))
+
+
+def scan(currents, theta):
+    """Run one IF bank from ``theta/2`` over ``currents[T, ...]``, one
+    ``engine.if_step`` (looked up on each call, so a test may patch it) per
+    step; returns ``(spike_count, v_final)``."""
+    v, count = 0.5 * theta, np.zeros(np.shape(currents)[1:], dtype=np.int64)
+    for current in currents:
+        v, fired = engine.if_step(v, current, theta)
+        count += fired
+    return count, v
 
 
 def random_dense_net(rng, quant_steps, sizes=None, weight_scale=0.6, bias_scale=0.2):

@@ -77,7 +77,8 @@ class TestMakeData:
 
     @pytest.mark.parametrize("flags", [["--train-count", "-1"],
                                        ["--train-count", "4", "--test-count", "-1"],
-                                       ["--noise", "-1"]])
+                                       ["--noise", "-1"], ["--noise", "inf"],
+                                       ["--noise", "nan"]])
     def test_bad_count_or_noise(self, tmp_path, flags):
         assert main(["make-data", "--out", str(tmp_path / "data"), *flags]) == EXIT_CONFIG
         assert not (tmp_path / "data").exists()
@@ -149,6 +150,17 @@ class TestTrainConvert:
         assert code == EXIT_INVARIANT
         err = capsys.readouterr().err
         assert err.startswith("error:") and "non-finite loss" in err
+        assert not model.exists()
+
+    @pytest.mark.parametrize("flag", ["--learning-rate", "--weight-decay"])
+    @pytest.mark.parametrize("value", ["nan", "inf"])
+    def test_non_finite_rate_exits_two(self, workspace, tmp_path, flag, value, capsys):
+        model = tmp_path / "m.ckpt"
+        code = main(["train", "--data", str(workspace["data"]), "--epochs", "1",
+                     "--limit", "32", flag, value, "--out", str(model)])
+        assert code == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert err.startswith("error:") and "finite" in err
         assert not model.exists()
 
     def test_weights_beyond_float32_exit_four(self, workspace, tmp_path, capsys):

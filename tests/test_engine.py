@@ -13,7 +13,6 @@ from snnconv.engine import (
     constant_current_phi,
     convert,
     even_timing_phi,
-    if_scan,
     if_step,
     snn_forced_phi,
     snn_simulate,
@@ -22,7 +21,9 @@ from snnconv.engine import (
 from snnconv.errors import ConversionError, DataValidationError, ParameterError, ShapeError
 from snnconv.network import BLOCK_ROWS, ann_forward, cnn_preset, map_blocks, mlp_preset
 
-from helpers import case1_repair_net, positive_dense_net, random_dense_net, timing_fixture_net
+from helpers import (
+    case1_repair_net, positive_dense_net, random_dense_net, scan, timing_fixture_net,
+)
 
 
 def single_neuron_run(currents, theta=1.0):
@@ -57,7 +58,7 @@ class TestStep:
         assert v[0] == -0.5
 
     def test_initial_state(self, rng):
-        count, v = if_scan(np.zeros((4, 3)), 2.0)
+        count, v = scan(np.zeros((4, 3)), 2.0)
         assert np.all(v == 1.0)
         assert np.all(count == 0)
         snn = convert(random_dense_net(rng, 4, sizes=[3, 4, 2]))
@@ -92,7 +93,7 @@ class TestStep:
 
     def test_scan_matches_steps(self, rng):
         currents = rng.uniform(-1.0, 2.0, (6, 5))
-        count, v = if_scan(currents, 1.3)
+        count, v = scan(currents, 1.3)
         for j in range(5):
             spikes, vj = single_neuron_run(currents[:, j], 1.3)
             assert count[j] == sum(spikes) and v[j] == vj

@@ -42,7 +42,7 @@ import numpy as np
 
 from .activation import qcfs_level
 from .engine import SnnNetwork, _checked_input, if_step
-from .errors import ParameterError, ShapeError, positive, whole
+from .errors import ParameterError, ShapeError, finite, positive, whole
 from .network import map_blocks
 from .output import write_csv, write_json
 
@@ -274,8 +274,6 @@ class TheoremResult(Sequence):
         return math.prod(math.comb(self.timesteps, k) for k in self.counts)
 
     def __getitem__(self, index):
-        if isinstance(index, slice):
-            return [self[i] for i in range(len(self))[index]]
         i = range(len(self))[index]  # negative indices; IndexError out of range
         ranks = np.unravel_index(i, [math.comb(self.timesteps, k) for k in self.counts])
         timings = tuple(next(islice(combinations(range(self.timesteps), k), r, None))
@@ -387,20 +385,17 @@ def verify_theorem1(weights, timesteps: int, counts, theta: float = 1.0) -> Theo
     """
     timesteps = whole(timesteps, "timesteps")
     positive(theta, "theta")
-    weights = tuple(float(w) for w in np.atleast_1d(weights))
-    counts = tuple(whole(k, "a spike count", 0) for k in np.atleast_1d(counts))
+    weights = tuple(finite(w, "a weight") for w in np.atleast_1d(np.asarray(weights, object)))
+    counts = tuple(whole(k, "a spike count", 0) for k in np.atleast_1d(np.asarray(counts, object)))
     if len(weights) != len(counts):
         raise ParameterError(f"{len(weights)} weights vs {len(counts)} spike counts")
-    if not weights:
-        raise ParameterError("need at least one presynaptic neuron")
+    if not 1 <= len(weights) <= MAX_PRESYN:
+        raise ParameterError(f"need 1..{MAX_PRESYN} presynaptic neurons, got {len(weights)}")
     if any(k > timesteps for k in counts):
         raise ParameterError(f"spike counts must lie in [0, {timesteps}], got {counts}")
-    # theta * T + sum_i |w_i| * k_i bounds every potential, exact or not;
-    # NaN or inf * 0 in a term is NaN
+    # theta * T + sum_i |w_i| * k_i bounds every potential, exact or not
     if not math.isfinite(theta * timesteps + sum(abs(w) * k for w, k in zip(weights, counts))):
         raise ParameterError(f"weights {weights} and theta {theta} must give finite potentials")
-    if len(weights) > MAX_PRESYN:
-        raise ParameterError(f"need 1..{MAX_PRESYN} presynaptic neurons, got {len(weights)}")
     if timesteps > MAX_ENUM_TIMESTEPS:
         raise ParameterError(
             f"exhaustive enumeration supports 1..{MAX_ENUM_TIMESTEPS} steps, got {timesteps}")
@@ -422,7 +417,7 @@ def random_theorem_sweep(draws: int, timesteps_list, seed: int = 0):
     """
     whole(draws, "draws")
     timesteps_list = [whole(timesteps, "timesteps") for timesteps in timesteps_list]
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole(seed, "seed", 0))
     total = violations = 0
     witnesses = []
     for timesteps in timesteps_list:

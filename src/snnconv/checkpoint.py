@@ -12,6 +12,11 @@ The header carries everything non-tensor: layer kinds and shapes, the
 quantization step count, per-layer thresholds, input standardization
 constants, and an optional model type tag ("ann" or "snn"; the tensors are
 identical either way since conversion reuses them).
+
+The reader only parses: it checks the framing, the payload and the fields
+that slice it (``shape``, ``has_bias``, ``payload_count``).
+:class:`LayerParams` and :class:`NetworkSpec` check the network itself, and
+the reader turns their errors into :class:`DataFormatError`.
 """
 
 from __future__ import annotations
@@ -22,8 +27,8 @@ import struct
 
 import numpy as np
 
-from .errors import DataFormatError, ParameterError, ShapeError
-from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec, layer_output_shape
+from .errors import DataFormatError, ParameterError, ShapeError, whole
+from .network import WEIGHTED_KINDS, LayerParams, NetworkSpec
 from .output import open_output
 
 MAGIC = b"SNNCONV1"
@@ -83,26 +88,17 @@ def _field(entry: dict, key: str, valid, default=_MISSING):
     return value
 
 
-def _count(value, least: int = 1) -> bool:
-    return type(value) is int and value >= least
-
-
-def _counts(value, length: int | None = None) -> bool:
-    return (isinstance(value, list) and all(_count(v) for v in value)
-            and length in (None, len(value)))
-
-
-def _number(value) -> bool:
-    return type(value) in (int, float) and math.isfinite(value)
+def _present(value) -> bool:
+    """Any value: the object built from it checks it."""
+    return True
 
 
 def load_checkpoint(path):
     """Read a checkpoint; returns ``(NetworkSpec, header_dict)``.
 
     Raises :class:`DataFormatError` with the byte offset on any structural
-    problem (bad magic, truncated header or payload, non-finite values), and
-    on header fields that are missing, mistyped or describe no valid network,
-    including layer shapes that do not chain from ``input_shape``.
+    problem (bad magic, truncated header or payload, non-finite values), on
+    a missing header field, and on a network that cannot be built.
     """
     with open(path, "rb") as fh:
         blob = fh.read()
@@ -126,7 +122,8 @@ def load_checkpoint(path):
         raise DataFormatError(f"payload truncated at byte {len(blob)}: "
                               "not a whole number of float32 values")
     payload = np.frombuffer(blob[header_end:], dtype="<f4")
-    expected = _field(header, "payload_count", lambda v: v is None or _count(v, 0), None)
+    expected = _field(header, "payload_count",
+                      lambda v: v is None or (type(v) is int and v >= 0), None)
     if expected is not None and payload.size != expected:
         raise DataFormatError(
             f"payload truncated at byte {header_end + payload.size * 4}: "
@@ -136,52 +133,35 @@ def load_checkpoint(path):
         bad = int(np.argmin(finite))
         raise DataFormatError(f"non-finite payload value at byte {header_end + 4 * bad}")
 
-    # LayerParams and NetworkSpec check each threshold and quant_steps
     try:
-        entries = _field(header, "layers",
-                         lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v))
         layers = []
         offset = 0
-        for entry in entries:
+        for entry in _field(header, "layers",
+                            lambda v: isinstance(v, list) and all(isinstance(e, dict) for e in v)):
             kind = entry.get("kind")
             if kind in WEIGHTED_KINDS:
-                rank = 2 if kind == "dense" else 4
-                shape = tuple(_field(entry, "shape", lambda v: _counts(v, rank)))
+                sizes = _field(entry, "shape", lambda v: isinstance(v, list) and len(v) > 0)
+                shape = tuple(whole(size, "a weight axis", 0) for size in sizes)
                 has_bias = _field(entry, "has_bias", lambda v: type(v) is bool, False)
                 split = offset + math.prod(shape)
                 end = split + (shape[0] if has_bias else 0)
                 if end > payload.size:
-                    raise DataFormatError(
-                        f"payload has {payload.size} floats but layers need {end}")
+                    raise DataFormatError(f"payload has {payload.size} floats but layers need {end}")
                 w = payload[offset:split].astype(np.float64).reshape(shape)
                 b = payload[split:end].astype(np.float64) if has_bias else None
                 offset = end
-                layers.append(LayerParams(
-                    kind=kind, weights=w, bias=b,
-                    lam=_field(entry, "lam", lambda v: v is None or _number(v), None),
-                    stride=_field(entry, "stride", _count, 1),
-                    padding=_field(entry, "padding", lambda v: _count(v, 0), 0)))
+                fields = {key: entry[key] for key in ("lam", "stride", "padding") if key in entry}
+                layers.append(LayerParams(kind, w, b, **fields))
             elif kind == "avgpool2d":
-                layers.append(LayerParams(kind=kind, pool=_field(entry, "pool", _count)))
+                layers.append(LayerParams(kind=kind, pool=_field(entry, "pool", _present)))
             elif kind == "flatten":
                 layers.append(LayerParams(kind=kind))
             else:
                 raise DataFormatError(f"unknown layer kind {kind!r} in checkpoint header")
         if offset != payload.size:
-            raise DataFormatError(
-                f"payload has {payload.size} floats but layers consume {offset}")
-
-        normalization = _field(
-            header, "normalization",
-            lambda v: v is None or (isinstance(v, list) and len(v) == 2 and all(map(_number, v))),
-            None)
-        quant_steps = _field(header, "quant_steps", lambda v: type(v) is int)
-        input_shape = tuple(_field(header, "input_shape", _counts))
-        net = NetworkSpec(layers, quant_steps, input_shape,
-                          tuple(normalization) if normalization else None)
-        shape = (1, *input_shape)
-        for layer in layers:
-            shape = layer_output_shape(layer, shape)
+            raise DataFormatError(f"payload has {payload.size} floats but layers consume {offset}")
+        net = NetworkSpec(layers, _field(header, "quant_steps", _present),
+                          _field(header, "input_shape", _present), header.get("normalization"))
     except (ParameterError, ShapeError) as exc:
         raise DataFormatError(f"checkpoint header describes no valid network: {exc}") from exc
     return net, header

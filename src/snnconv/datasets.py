@@ -23,7 +23,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import DataFormatError, DataValidationError, ParameterError, whole
+from .errors import DataFormatError, DataValidationError, ParameterError, finite, whole
 from .output import open_output
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -255,16 +255,18 @@ def synthetic_digits(n: int, seed: int = 0, max_shift: int = 3,
     Each sample upscales a 7x5 glyph by 3x, pastes it at a random offset,
     scales its intensity, and adds clipped pixel noise.
     """
-    whole(n, "sample count", 0)
-    if not 0 <= noise < math.inf:
-        raise ParameterError(f"noise must be finite and >= 0, got {noise}")
-    rng = np.random.default_rng(seed)
     side, scale = 28, 3
     gh, gw = 7 * scale, 5 * scale
-    images = np.zeros((n, 1, side, side))
-    labels = rng.integers(0, 10, size=n)
     base_r = (side - gh) // 2
     base_c = (side - gw) // 2
+    whole(n, "sample count", 0)
+    if finite(noise, "noise") < 0:
+        raise ParameterError(f"noise must be >= 0, got {noise}")
+    if whole(max_shift, "max shift", 0) > base_r:  # the glyph stays on the canvas
+        raise ParameterError(f"max shift must be <= {base_r}, got {max_shift}")
+    rng = np.random.default_rng(whole(seed, "seed", 0))
+    images = np.zeros((n, 1, side, side))
+    labels = rng.integers(0, 10, size=n)
     for i in range(n):
         glyph = _glyph_array(int(labels[i]))
         big = np.kron(glyph, np.ones((scale, scale)))

@@ -4,14 +4,16 @@ scalar parameters.
 The CLI maps these onto exit codes (config=2, data=3, invariant=4), so
 library code should raise the most specific class that applies.
 
-Every step count, spike count and sample count goes through :func:`whole`,
-and every threshold and the learning rate through :func:`positive`: a count
-is an ``int`` or a numpy integer (``2.0`` is refused, as by ``range``), and a
-threshold is a finite number above zero.  Both raise :class:`ParameterError`
-otherwise; neither is called inside a per-step loop.
+Every count, size and seed goes through :func:`whole`, every real-valued
+parameter through :func:`finite`, and every threshold and the learning rate
+through :func:`positive`: a count is an ``int`` or a numpy integer (``2.0``
+is refused, as by ``range``), a number is finite in float64, and a threshold
+is a number above zero; a ``bool`` is neither.  All three raise
+:class:`ParameterError` otherwise; none is called inside a per-step loop.
 """
 
 import math
+import numbers
 import operator
 
 
@@ -24,9 +26,10 @@ class ParameterError(SnnConvError):
 
 
 def whole(value, name: str, least: int = 1) -> int:
-    """``value`` as an ``int`` by Python's index rule, if it is at least ``least``."""
+    """``value`` as an ``int`` by Python's index rule, if it is no ``bool``
+    and at least ``least``."""
     try:
-        value = operator.index(value)
+        value = operator.index(None if isinstance(value, bool) else value)
     except TypeError:
         raise ParameterError(f"{name} must be an integer, got {value!r}") from None
     if value < least:
@@ -34,14 +37,21 @@ def whole(value, name: str, least: int = 1) -> int:
     return value
 
 
+def finite(value, name: str) -> float:
+    """``value`` as a ``float``, if it is a real number, no ``bool``, and
+    neither NaN nor infinite in float64."""
+    try:
+        if isinstance(value, numbers.Real) and not isinstance(value, bool) and math.isfinite(value):
+            return float(value)
+    except OverflowError:  # an int or Fraction beyond float64
+        pass
+    raise ParameterError(f"{name} must be a finite number, got {value!r}")
+
+
 def positive(value, name: str) -> None:
     """Refuse ``value`` unless it is a finite number above zero."""
-    try:
-        if 0 < value < math.inf:
-            return
-    except (TypeError, ValueError):
-        pass
-    raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
+    if finite(value, name) <= 0:
+        raise ParameterError(f"{name} must be finite and > 0, got {value!r}")
 
 
 class ShapeError(SnnConvError):

@@ -21,7 +21,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .activation import qcfs
-from .errors import DataValidationError, ParameterError, ShapeError, positive, whole
+from .errors import DataValidationError, ParameterError, ShapeError, finite, positive, whole
 
 WEIGHTED_KINDS = ("dense", "conv2d")
 LAYER_KINDS = ("dense", "conv2d", "avgpool2d", "flatten")
@@ -43,6 +43,7 @@ class LayerParams:
 
     ``lam`` is the activation threshold; ``None`` means no activation
     follows this layer (pool/flatten layers and the final classifier).
+    Each field is checked when the layer is built, not on a later ``setattr``.
     """
 
     kind: str
@@ -58,8 +59,17 @@ class LayerParams:
             raise ParameterError(f"unknown layer kind {self.kind!r}")
         if self.lam is not None:
             positive(self.lam, "layer threshold")
-        if self.kind in WEIGHTED_KINDS and self.weights is None:
-            raise ParameterError(f"{self.kind} layer requires weights")
+        whole(self.stride, "stride")
+        whole(self.padding, "padding", 0)
+        whole(self.pool, "pool")
+        if self.kind in WEIGHTED_KINDS:
+            if self.weights is None:
+                raise ParameterError(f"{self.kind} layer requires weights")
+            shape, rank = np.shape(self.weights), 2 if self.kind == "dense" else 4
+            if len(shape) != rank or 0 in shape:
+                raise ShapeError(f"{self.kind} weights need {rank} nonempty axes, got {shape}")
+            if self.bias is not None and np.shape(self.bias) != shape[:1]:
+                raise ShapeError(f"bias of shape {np.shape(self.bias)} for {shape[0]} outputs")
 
     @property
     def has_activation(self) -> bool:
@@ -79,7 +89,7 @@ class ActivationRecord:
 
 @dataclass
 class NetworkSpec:
-    """Ordered layers plus the shared quantization step count L."""
+    """Ordered layers, chained from ``input_shape``, and the shared quantization step count L."""
 
     layers: list
     quant_steps: int
@@ -87,8 +97,19 @@ class NetworkSpec:
     normalization: tuple | None = None  # (mean, std) applied to raw inputs
 
     def __post_init__(self):
-        self.input_shape = tuple(self.input_shape)
+        try:
+            self.input_shape = tuple(whole(size, "an input size") for size in self.input_shape)
+        except TypeError:
+            raise ShapeError(f"input shape {self.input_shape!r} is not a sequence") from None
         whole(self.quant_steps, "quant_steps")
+        if self.normalization is not None:
+            try:
+                mean, std = self.normalization
+            except (TypeError, ValueError):
+                raise ParameterError(f"normalization {self.normalization!r} is not a pair") from None
+            finite(mean, "normalization mean")
+            positive(std, "normalization std")
+            self.normalization = (mean, std)
         weighted = [l for l in self.layers if l.kind in WEIGHTED_KINDS]
         if not weighted:
             raise ParameterError("network needs at least one weighted layer")
@@ -100,6 +121,9 @@ class NetworkSpec:
         for l in self.layers:
             if l.kind not in WEIGHTED_KINDS and l.has_activation:
                 raise ParameterError(f"{l.kind} layers cannot carry an activation")
+        shape = (1, *self.input_shape)
+        for layer in self.layers:
+            shape = layer_output_shape(layer, shape)
 
     @property
     def activation_layers(self) -> list:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .activation import qcfs_backward
 from .errors import DataValidationError, ParameterError, ShapeError, TrainingDivergenceError
-from .errors import positive, whole
+from .errors import finite, positive, whole
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
 
 LAM_FLOOR = 1e-3
@@ -35,10 +35,10 @@ class TrainConfig:
 
     def __post_init__(self):
         positive(self.learning_rate, "learning rate")
-        if not 0 <= self.momentum < 1:
+        if not 0 <= finite(self.momentum, "momentum") < 1:
             raise ParameterError(f"momentum must be in [0, 1), got {self.momentum}")
-        if not 0 <= self.weight_decay < math.inf:
-            raise ParameterError(f"weight decay must be finite and >= 0, got {self.weight_decay}")
+        if finite(self.weight_decay, "weight decay") < 0:
+            raise ParameterError(f"weight decay must be >= 0, got {self.weight_decay}")
         whole(self.epochs, "epochs", 0)
         whole(self.batch_size, "batch size")
 
@@ -71,7 +71,7 @@ def sgd_step(net: NetworkSpec, grads: dict, velocities: dict,
 
 def init_network(net: NetworkSpec, seed: int) -> NetworkSpec:
     """Kaiming fan-in init for weights, zero biases, lam = 8/L."""
-    rng = np.random.default_rng(seed)
+    rng = np.random.default_rng(whole(seed, "seed", 0))
     for layer in net.layers:
         if layer.weights is None:
             continue
@@ -166,7 +166,7 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
         raise ParameterError(f"labels out of range for {classes} classes")
 
     velocities: dict = {}
-    rng = np.random.default_rng(seed + 1)
+    rng = np.random.default_rng(whole(seed, "seed", 0) + 1)
     history = TrainHistory()
 
     for epoch in range(config.epochs):

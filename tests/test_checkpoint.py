@@ -187,6 +187,10 @@ def _layer(**changes):
     pytest.param(_edited(quant_steps=0), id="quant-steps-zero"),
     pytest.param(_edited(input_shape="2"), id="input-shape-str"),
     pytest.param(_edited(normalization=[0.5]), id="normalization-short"),
+    pytest.param(_edited(normalization=[0.1, 0.0]), id="normalization-std-zero"),
+    pytest.param(_edited(normalization=[0.1, -1.0]), id="normalization-std-negative"),
+    pytest.param(_edited(normalization=[True, 1.0]), id="normalization-mean-bool"),
+    pytest.param(_edited(input_shape=[True]), id="input-size-bool"),
     pytest.param(_edited(layers=[{"shape": [2, 2]}]), id="no-kind"),
     pytest.param(_edited(layers=[_layer(shape=None)]), id="no-shape"),
     pytest.param(_edited(layers=[_layer(shape="2x2")]), id="shape-str"),
@@ -232,6 +236,28 @@ def cnn_files(tmp_path_factory):
     pytest.param(None, "input_shape", [3, 28, 28], id="input-channels"),
 ])
 def test_layer_shapes_must_chain(cnn_files, tmp_path, layer, key, value):
+    path = _edited_checkpoint(cnn_files, tmp_path, layer, key, value)
+    with pytest.raises(DataFormatError, match="no valid network"):
+        load_checkpoint(path)
+    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
+                 "--out", str(tmp_path / "metrics.csv")]) == EXIT_DATA
+
+
+@pytest.mark.parametrize("std", [0.0, -1.0, -1e300])
+def test_normalization_std_must_be_positive(cnn_files, tmp_path, std, capsys):
+    path = _edited_checkpoint(cnn_files, tmp_path, None, "normalization", [0.1, std])
+    with pytest.raises(DataFormatError, match="normalization std"):
+        load_checkpoint(path)
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "RuntimeWarning" not in capsys.readouterr().err
+    assert not out.exists()
+
+
+def _edited_checkpoint(cnn_files, tmp_path, layer, key, value):
+    """A copy of the CNN checkpoint with one header field (of layer ``layer``,
+    or of the top level when ``None``) set to ``value``."""
     blob = (cnn_files / "model.ckpt").read_bytes()
     (length,) = struct.unpack_from("<I", blob, len(MAGIC))
     start = len(MAGIC) + 4
@@ -240,7 +266,4 @@ def test_layer_shapes_must_chain(cnn_files, tmp_path, layer, key, value):
     edited = json.dumps(header).encode()
     path = tmp_path / "edited.ckpt"
     path.write_bytes(MAGIC + struct.pack("<I", len(edited)) + edited + blob[start + length:])
-    with pytest.raises(DataFormatError, match="no valid network"):
-        load_checkpoint(path)
-    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
-                 "--out", str(tmp_path / "metrics.csv")]) == EXIT_DATA
+    return path

@@ -449,6 +449,15 @@ class TestSeed:
         assert main(args + ["--config", str(cfg)]) == EXIT_CONFIG
         assert not out.exists()
 
+    @pytest.mark.parametrize("command", ["make-data", "train", "verify-theorem"])
+    def test_negative_seed_exits_two(self, workspace, tmp_path, command, capsys):
+        out = tmp_path / "out"
+        data = [] if command != "train" else ["--data", str(workspace["data"])]
+        assert main([command, *data, "--seed", "-1", "--out", str(out)]) == EXIT_CONFIG
+        err = capsys.readouterr().err
+        assert "seed must be >= 0" in err and "Traceback" not in err
+        assert not out.exists()
+
 
 class TestAnalyze:
     def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):

@@ -276,11 +276,10 @@ class TestValidation:
         with pytest.raises(ParameterError):
             NetworkSpec([dense(np.zeros((2, 2)))], quant_steps=0, input_shape=(2,))
 
-    def test_mismatched_chain_fails_at_forward(self):
+    def test_mismatched_chain_fails_at_build(self):
         layers = [dense(np.zeros((3, 2)), lam=1.0), dense(np.zeros((2, 4)))]
-        net = NetworkSpec(layers, quant_steps=4, input_shape=(2,))
-        with pytest.raises(ShapeError):
-            ann_forward(net, np.zeros((1, 2)))
+        with pytest.raises(ShapeError, match=r"dense expects \(N, 4\), got \(1, 3\)"):
+            NetworkSpec(layers, quant_steps=4, input_shape=(2,))
 
 
 class TestAnnForward:

@@ -1,10 +1,14 @@
-"""Every step count and threshold of the public API follows one rule.
+"""Every count, number and threshold of the public API follows one rule.
 
-A count (T, tau, L, a spike or sample count, draws, epochs, batch size) is an
-``int`` or a numpy integer no smaller than its least value: ``1.5``, ``2.0``,
-NaN, inf and ``"2"`` are refused, as by ``range``.  A threshold (theta, lam)
-and the learning rate are finite and above zero.  A bad value raises
-:class:`ParameterError`, never a raw error or a numpy warning.
+A count (T, tau, L, a spike or sample count, draws, epochs, batch size, a
+seed, a stride, pool or padding, an input size) is an ``int`` or a numpy
+integer no smaller than its least value: ``1.5``, ``2.0``, NaN, inf, ``"2"``
+and ``True`` are refused, as by ``range``.  A number (momentum, weight decay,
+noise, a theorem weight, the normalization mean) is finite, and a threshold
+(theta, lam, the learning rate, the normalization std) is also above zero;
+``True`` is neither.  A bad value raises :class:`ParameterError`, never a
+raw error or a numpy warning, and a layer or network whose shapes do not fit
+raises :class:`ShapeError` when it is built.
 
 The tables below hold one row per public callable and parameter.  As in
 ``test_defaults``, no linter runs on this repository, so
@@ -40,11 +44,12 @@ from snnconv import (
     srp_effect_report,
     srp_inference,
     synthetic_digits,
+    train,
     verify_theorem1,
 )
-from snnconv.errors import ParameterError
+from snnconv.errors import ParameterError, ShapeError
 
-COUNT_NAMES = {"timesteps", "tau", "steps", "quant_steps", "draws", "n"}
+COUNT_NAMES = {"timesteps", "tau", "steps", "quant_steps", "draws", "n", "seed"}
 THRESHOLD_NAMES = {"theta", "lam"}
 # the per-step kernel: its callers check theta once per run
 EXEMPT = {"if_step"}
@@ -54,6 +59,7 @@ SNN = convert(NET)
 X = np.zeros((2, 2))
 ZEROS = [np.zeros((2, 3), np.uint8)]  # spike counts of SNN's one IF stage
 Y = np.array([0.3, 0.7])
+W1 = np.ones((1, 1, 1, 1))  # a 1x1 convolution fits every image size
 
 # (callable, parameter, least, call with that parameter set to the value)
 COUNTS = [
@@ -80,6 +86,17 @@ COUNTS = [
     (mlp_preset, "quant_steps", 1, lambda v: mlp_preset(v)),
     (cnn_preset, "quant_steps", 1, lambda v: cnn_preset(v)),
     (NetworkSpec, "quant_steps", 1, lambda v: NetworkSpec(NET.layers, v, NET.input_shape)),
+    (NetworkSpec, "input_shape", 1,
+     lambda v: NetworkSpec([LayerParams("conv2d", W1)], 2, (1, v, v))),
+    (LayerParams, "stride", 1, lambda v: LayerParams("conv2d", W1, stride=v)),
+    (LayerParams, "padding", 0, lambda v: LayerParams("conv2d", W1, padding=v)),
+    (LayerParams, "pool", 1, lambda v: LayerParams("avgpool2d", pool=v)),
+    (synthetic_digits, "seed", 0, lambda v: synthetic_digits(1, seed=v)),
+    (synthetic_digits, "max_shift", 0, lambda v: synthetic_digits(1, max_shift=v)),
+    (init_network, "seed", 0,
+     lambda v: init_network(mlp_preset(2, hidden=(3,), in_features=2), v)),
+    (train, "seed", 0, lambda v: train(NET, X, [0, 1], TrainConfig(epochs=0), seed=v)),
+    (random_theorem_sweep, "seed", 0, lambda v: random_theorem_sweep(1, (2,), seed=v)),
     (TrainConfig, "epochs", 0, lambda v: TrainConfig(epochs=v)),
     (TrainConfig, "batch_size", 1, lambda v: TrainConfig(batch_size=v)),
 ]
@@ -92,10 +109,43 @@ THRESHOLDS = [
     (even_timing_phi, "theta", lambda v: even_timing_phi(Y, v, 2, 0.5)),
     (LayerParams, "lam", lambda v: LayerParams("dense", np.ones((2, 2)), lam=v)),
     (TrainConfig, "learning_rate", lambda v: TrainConfig(learning_rate=v)),
+    (NetworkSpec, "normalization std",
+     lambda v: NetworkSpec(NET.layers, 2, NET.input_shape, (0.0, v))),
 ]
 
-BAD_COUNTS = [1.5, 2.0, float("nan"), float("inf"), "2"]
-BAD_THRESHOLDS = [0.0, -1.0, float("nan"), float("inf")]
+# (callable, parameter, call with that parameter set to the value)
+NUMBERS = [
+    (TrainConfig, "momentum", lambda v: TrainConfig(momentum=v)),
+    (TrainConfig, "weight_decay", lambda v: TrainConfig(weight_decay=v)),
+    (synthetic_digits, "noise", lambda v: synthetic_digits(1, noise=v)),
+    (verify_theorem1, "weights", lambda v: verify_theorem1([0.5, v], 2, [1, 1])),
+    (NetworkSpec, "normalization mean",
+     lambda v: NetworkSpec(NET.layers, 2, NET.input_shape, (v, 1.0))),
+]
+
+BAD_COUNTS = [1.5, 2.0, float("nan"), float("inf"), "2", True]
+BAD_THRESHOLDS = [0.0, -1.0, float("nan"), float("inf"), True]
+BAD_NUMBERS = [float("nan"), float("inf"), -float("inf"), 10**400, "0.5", True]
+
+# (what is malformed, ShapeError or ParameterError, the build that must refuse it)
+STRUCTURES = [
+    ("dense-weights-rank-1", ShapeError, lambda: LayerParams("dense", np.ones(2))),
+    ("dense-weights-rank-3", ShapeError, lambda: LayerParams("dense", np.ones((2, 2, 1)))),
+    ("conv-weights-rank-2", ShapeError, lambda: LayerParams("conv2d", np.ones((2, 2)))),
+    ("weights-empty-axis", ShapeError, lambda: LayerParams("dense", np.ones((0, 2)))),
+    ("bias-length", ShapeError,
+     lambda: LayerParams("dense", np.ones((2, 2)), bias=np.ones(5))),
+    ("bias-rank", ShapeError,
+     lambda: LayerParams("dense", np.ones((2, 2)), bias=np.ones((2, 1)))),
+    ("input-shape-not-a-sequence", ShapeError, lambda: NetworkSpec(NET.layers, 2, 2)),
+    ("input-shape-negative", ParameterError, lambda: NetworkSpec(NET.layers, 2, (-3,))),
+    ("chain-mismatch", ShapeError, lambda: NetworkSpec(NET.layers, 2, (3,))),
+    ("normalization-scalar", ParameterError,
+     lambda: NetworkSpec(NET.layers, 2, NET.input_shape, 0.5)),
+    ("normalization-triple", ParameterError,
+     lambda: NetworkSpec(NET.layers, 2, NET.input_shape, (0.0, 1.0, 2.0))),
+    ("max-shift-off-canvas", ParameterError, lambda: synthetic_digits(1, max_shift=4)),
+]
 
 
 def _id(row) -> str:
@@ -132,6 +182,29 @@ def test_threshold_refused(row, value):
 @pytest.mark.parametrize("row", THRESHOLDS, ids=_id)
 def test_finite_threshold_accepted(row):
     row[2](0.75)
+
+
+@pytest.mark.parametrize("value", BAD_NUMBERS, ids=repr)
+@pytest.mark.parametrize("row", NUMBERS, ids=_id)
+def test_number_refused(row, value):
+    _refused(row[2], value)
+
+
+@pytest.mark.parametrize("row", NUMBERS, ids=_id)
+def test_finite_number_accepted(row):
+    row[2](0.5)
+    row[2](np.float32(0.25))
+
+
+@pytest.mark.parametrize("row", STRUCTURES, ids=[row[0] for row in STRUCTURES])
+def test_malformed_structure_refused_when_built(row):
+    _, error, build = row
+    with pytest.raises(error):
+        build()
+
+
+def test_largest_shift_keeps_the_glyph_on_the_canvas():
+    assert len(synthetic_digits(4, max_shift=3)) == 4
 
 
 def test_every_count_and_threshold_has_a_row():

@@ -270,8 +270,10 @@ def cmd_eval(args) -> int:
     for path in filter(None, (args.out, args.trace)):
         check_output(path)
 
-    # Only scores are kept: each block's runs are freed before the next starts.
-    ann, plain, *srp = map_blocks(lambda n, block: _block_scores(args, net, snn, n, block), x)
+    # Only scores are kept: each block's runs are freed before the process
+    # that ran it (this one or a forked worker) starts another block.
+    ann, plain, *srp = map_blocks(lambda n, block: _block_scores(args, net, snn, n, block), x,
+                                  fork=True)
     acc_ann = _scores_accuracy(ann, handle.labels)
     rows = []
     for k, timesteps in enumerate(args.timesteps):
@@ -303,7 +305,7 @@ def cmd_analyze(args) -> int:
                else snn_simulate(snn, block[:n], args.timesteps))
         return (run.plain.counts if run.plain else []) + run.counts
 
-    counts = map_blocks(block_counts, x)
+    counts = map_blocks(block_counts, x, fork=True)
     plain, masked = counts[:len(snn.if_stages)], counts[len(snn.if_stages):]
     # The SRP effect's plain half is the Type II report: one ANN chain serves both.
     effect = srp_effect_report(snn, x, plain, masked, args.timesteps) if args.srp else None

@@ -306,5 +306,11 @@ def standardization_stats(images: np.ndarray) -> tuple:
 
 
 def standardize(images: np.ndarray, stats) -> np.ndarray:
+    """``(images - mean) / std``; a value that leaves float64 (a tiny std
+    overflows) is a :class:`DataValidationError`, not a numpy warning."""
     mean, std = stats
-    return (images - mean) / std
+    with np.errstate(over="ignore"):
+        out = (images - mean) / std
+    if not np.isfinite(out).all():
+        raise DataValidationError(f"standardizing by std {std} leaves NaN or infinite values")
+    return out

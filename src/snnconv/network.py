@@ -14,6 +14,8 @@ all forward functions.
 from __future__ import annotations
 
 import math
+import os
+import pickle
 from dataclasses import dataclass, field
 from functools import reduce
 
@@ -311,7 +313,63 @@ def layer_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray, *,
 # whole-network forward
 
 
-def map_blocks(fn, *arrays) -> list:
+# True while a forked map runs, in its process and in its workers, so that a
+# map called inside one of its blocks stays serial.
+_FORKING = False
+
+
+def _block(arrays, start: int) -> tuple:
+    """``(n, *blocks)``: the ``n`` real rows from ``start`` of each array, zero-padded."""
+    n = min(BLOCK_ROWS, len(arrays[0]) - start)
+    return n, *(np.ascontiguousarray(a[start:start + n]) if n == BLOCK_ROWS else
+                np.pad(a[start:start + n], [(0, BLOCK_ROWS - n)] + [(0, 0)] * (a.ndim - 1))
+                for a in arrays)
+
+
+def _fork_worker(fn, arrays, starts: range) -> tuple:
+    """Fork a process that runs the blocks at ``starts`` and pickles each
+    one's real rows, or the exception that stopped it, into a pipe; returns
+    its pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # a worker never returns into its parent's code
+            # Closed here too, so that a write fails once the parent is gone.
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    for start in starts:
+                        n, *blocks = _block(arrays, start)
+                        pickle.dump([part[:n] for part in fn(n, *blocks)], pipe)
+                        pipe.flush()
+                except BaseException as exc:
+                    pickle.dump(exc, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def _forked_results(fn, arrays, starts: range, workers: list):
+    """Each block's results in block order: of ``P = len(workers) + 1``
+    processes, block ``k`` runs here when ``k % P`` is 0, and otherwise in
+    worker ``k % P - 1``, whose pipe holds its blocks in order."""
+    processes = len(workers) + 1
+    for k, start in enumerate(starts):
+        if k % processes == 0:
+            yield fn(*_block(arrays, start))
+            continue
+        pid, pipe = workers[k % processes - 1]
+        try:
+            result = pickle.load(pipe)
+        except EOFError:
+            raise ChildProcessError(f"block worker {pid} ended before block {k}") from None
+        if isinstance(result, BaseException):
+            raise result
+        yield result
+
+
+def map_blocks(fn, *arrays, fork: bool = False) -> list:
     """Apply ``fn(n, *blocks)`` to ``arrays`` ``BLOCK_ROWS`` rows at a time.
 
     Each block holds the next ``n <= BLOCK_ROWS`` rows of every array, the
@@ -322,19 +380,49 @@ def map_blocks(fn, *arrays) -> list:
     freed before the next block runs.  Input with no rows is a
     :class:`DataValidationError`, and arrays of unequal row counts a
     :class:`ShapeError`.
+
+    With ``fork``, the blocks are shared among ``P = min(blocks, CPUs this
+    process may use)`` processes: this one and ``P - 1`` workers forked from
+    it.  Process ``w`` runs blocks ``w, w + P, ...``, each whole, so every
+    bit is as in the serial loop, and a worker sends back only each block's
+    real rows.  An exception raised in a worker is raised here, a worker
+    that dies is a :class:`ChildProcessError`, and every worker has been
+    reaped before this returns.  Each worker holds one block's working
+    memory of its own.  With one block or one CPU, or inside a forked map,
+    the blocks run here, one at a time.
     """
+    global _FORKING
     total = len(arrays[0])
     if any(len(a) != total for a in arrays):
         raise ShapeError(f"arrays of {[len(a) for a in arrays]} rows cannot share blocks")
     if total == 0:
         raise DataValidationError("input has no samples")
+    starts = range(0, total, BLOCK_ROWS)
+    processes = min(len(starts), len(os.sched_getaffinity(0))) if fork and not _FORKING else 1
+    if processes == 1:
+        return _gather(total, starts, (fn(*_block(arrays, start)) for start in starts))
+    # Imported only here, so that importing the CLI loads nothing a fork alone needs.
+    import signal
+
+    _FORKING, workers = True, []
+    try:
+        for w in range(1, processes):
+            workers.append(_fork_worker(fn, arrays, starts[w::processes]))
+        return _gather(total, starts, _forked_results(fn, arrays, starts, workers))
+    finally:
+        _FORKING = False
+        for pid, pipe in workers:  # a worker past its last block has nothing left to do
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
+
+
+def _gather(total: int, starts: range, results) -> list:
+    """Write the blocks' results, an iterator in block order, into outputs of ``total`` rows."""
     out = None
-    for start in range(0, total, BLOCK_ROWS):
+    for start in starts:
+        parts = next(results)
         n = min(BLOCK_ROWS, total - start)
-        blocks = [np.ascontiguousarray(a[start:start + n]) if n == BLOCK_ROWS else
-                  np.pad(a[start:start + n], [(0, BLOCK_ROWS - n)] + [(0, 0)] * (a.ndim - 1))
-                  for a in arrays]
-        parts = fn(n, *blocks)
         if out is None:
             out = [np.empty((total, *part.shape[1:]), dtype=part.dtype) for part in parts]
         for array, part in zip(out, parts):
@@ -375,7 +463,7 @@ def mlp_preset(quant_steps: int, hidden=(256, 128), in_features: int = 784,
                classes: int = 10) -> NetworkSpec:
     """784-256-128-10 style fully-connected network (weights zero-filled;
     the trainer owns initialization, thresholds included)."""
-    widths = [in_features, *hidden, classes]
+    widths = [whole(width, "layer width") for width in (in_features, *hidden, classes)]
     layers = []
     for i, (fi, fo) in enumerate(zip(widths[:-1], widths[1:])):
         last = i == len(widths) - 2
@@ -391,7 +479,7 @@ def mlp_preset(quant_steps: int, hidden=(256, 128), in_features: int = 784,
 def cnn_preset(quant_steps: int, channels=(8, 16), hidden: int = 64) -> NetworkSpec:
     """Two 3x3 conv blocks with average pooling on 1x28x28 inputs, then two
     dense layers to 10 classes."""
-    c1, c2 = channels
+    c1, c2, hidden = (whole(width, "layer width") for width in (*channels, hidden))
     flat = c2 * 7 * 7
     layers = [
         LayerParams("conv2d", np.zeros((c1, 1, 3, 3)), np.zeros(c1), lam=1.0, padding=1),

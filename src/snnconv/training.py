@@ -152,15 +152,18 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
     """Train in place; returns the per-epoch history.
 
     The caller owns initialization (see :func:`init_network`), so training
-    for zero epochs leaves the network untouched.  Raises
-    :class:`TrainingDivergenceError`, naming the epoch, once the loss, a
-    batch's arithmetic (a numpy overflow or invalid value) or a parameter
-    in float32 (the checkpoint's type) stops being finite.
+    for zero epochs leaves the network untouched.  A NaN or infinite input
+    is a :class:`DataValidationError`.  Raises
+    :class:`TrainingDivergenceError`, naming the epoch, once a batch's
+    arithmetic (a numpy overflow or invalid value) or a parameter in float32
+    (the checkpoint's type) stops being finite.
     """
     x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
     labels = np.asarray(labels)
     if len(x) == 0:
         raise DataValidationError("training set has no samples")
+    if not np.isfinite(x).all():
+        raise DataValidationError("input contains NaN or infinite values")
     classes = net.layers[-1].weights.shape[0] if net.layers[-1].kind == "dense" else None
     if classes is not None and (labels.min() < 0 or labels.max() >= classes):
         raise ParameterError(f"labels out of range for {classes} classes")
@@ -180,8 +183,6 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
                 with np.errstate(over="raise", invalid="raise"):
                     logits, record = ann_forward(net, xb)
                     loss, grad_logits = softmax_cross_entropy(logits, yb)
-                    if not np.isfinite(loss):
-                        raise FloatingPointError(f"loss {loss}")
                     grads = network_backward(net, grad_logits, record)
                     sgd_step(net, grads, velocities, config, epoch)
             except FloatingPointError as err:

@@ -255,6 +255,18 @@ def test_normalization_std_must_be_positive(cnn_files, tmp_path, std, capsys):
     assert not out.exists()
 
 
+def test_tiny_normalization_std_is_data_error(cnn_files, tmp_path, capsys):
+    # the std loads, but standardizing by it leaves float64
+    path = _edited_checkpoint(cnn_files, tmp_path, None, "normalization", [0.1, 1e-320])
+    assert load_checkpoint(path)[0].normalization == (0.1, 1e-320)
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
+                 "--out", str(out)]) == EXIT_DATA
+    err = capsys.readouterr().err
+    assert err.startswith("error: standardizing") and "Warning" not in err
+    assert not out.exists()
+
+
 def _edited_checkpoint(cnn_files, tmp_path, layer, key, value):
     """A copy of the CNN checkpoint with one header field (of layer ``layer``,
     or of the top level when ``None``) set to ``value``."""

@@ -1,6 +1,7 @@
 import ast
 import csv
 import json
+import multiprocessing
 import os
 import subprocess
 import sys
@@ -22,7 +23,7 @@ from snnconv.cli import (
     parse_config_file,
 )
 from snnconv.datasets import DatasetHandle
-from snnconv.errors import ParameterError
+from snnconv.errors import ConversionError, ParameterError
 from snnconv.network import BLOCK_ROWS
 
 from helpers import write_csv_dataset
@@ -52,6 +53,25 @@ def workspace(tmp_path_factory):
     assert main(["convert", "--model", str(model), "--out", str(snn),
                  "--report", str(report)]) == EXIT_OK
     return {"root": root, "data": data, "model": model, "snn": snn, "report": report}
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` lets ``map_blocks`` see ``n`` CPUs; returns the list that
+    gains an entry per process forked from then on."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return set_cpus
 
 
 class TestMakeData:
@@ -234,10 +254,12 @@ def traced_growth(command: list, out) -> tuple:
 
 
 class TestEval:
-    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):
+    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path, cpus):
         # eval keeps only scores and simulates one block at a time, so a
         # sample beyond the first block costs far less than a float64 per
-        # stage-0 neuron (6272 of them, 50 kB)
+        # stage-0 neuron (6272 of them, 50 kB).  tracemalloc sees this
+        # process only, so the blocks run here, on one CPU.
+        cpus(1)
         growth, peaks = traced_growth(["eval", "--model", str(cnn_workspace["model"]),
                                        "--data", str(cnn_workspace["data"]), "--srp"],
                                       lambda limit: tmp_path / f"{limit}.csv")
@@ -460,9 +482,10 @@ class TestSeed:
 
 
 class TestAnalyze:
-    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path):
+    def test_memory_bounded_by_block(self, cnn_workspace, tmp_path, cpus):
         # analyze keeps spike counts and levels as small integers, not floats,
-        # and builds one stage's float |phi - a| at a time
+        # and builds one stage's float |phi - a| at a time; on one CPU, as in eval
+        cpus(1)
         growth, peaks = traced_growth(["analyze", "--model", str(cnn_workspace["model"]),
                                        "--data", str(cnn_workspace["data"]), "--srp",
                                        "--timesteps", "4"],
@@ -521,6 +544,75 @@ class TestAnalyze:
         with pytest.raises(SystemExit) as err:
             main(["analyze", "--timesteps", "2,4"])
         assert err.value.code == 2
+
+
+class TestForkedBlocks:
+    """With more than one CPU, eval and analyze simulate their blocks in
+    forked workers, with the serial run's bytes, errors and exit codes."""
+
+    @pytest.fixture(scope="class")
+    def split(self, tmp_path_factory):
+        """A test split of two blocks: on two CPUs the first runs in the
+        command's process and the second, partial one in a worker."""
+        data = tmp_path_factory.mktemp("blocks") / "data"
+        assert main(["make-data", "--out", str(data), "--train-count", "1",
+                     "--test-count", str(BLOCK_ROWS + 44), "--seed", "3"]) == EXIT_OK
+        return data
+
+    @staticmethod
+    def assert_no_children():
+        assert multiprocessing.active_children() == []
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    @pytest.mark.parametrize("command", [["eval"], ["eval", "--even-timing"],
+                                         ["analyze", "--limit", str(2 * BLOCK_ROWS)]],
+                             ids=" ".join)
+    def test_outputs_byte_identical(self, workspace, split, tmp_path, cpus, command):
+        outputs = []
+        for n in (1, 2):
+            forks = cpus(n)
+            out = tmp_path / str(n)
+            assert main([*command, "--srp", "--model", str(workspace["snn"]),
+                         "--data", str(split), "--out", str(out / "result")]) == EXIT_OK
+            assert len(forks) == n - 1
+            self.assert_no_children()
+            outputs.append({p.relative_to(out): p.read_bytes()
+                            for p in sorted(out.rglob("*")) if p.is_file()})
+        assert outputs[0] and outputs[0] == outputs[1]
+
+    @pytest.mark.parametrize("command", ["eval", "analyze"])
+    def test_worker_error_as_in_serial_run(self, workspace, split, tmp_path, cpus,
+                                           monkeypatch, capfd, command):
+        srp_inference = cli.srp_inference
+
+        def fail_last_block(snn, x, *args):
+            if len(x) < BLOCK_ROWS:
+                raise ConversionError("no run for the last block")
+            return srp_inference(snn, x, *args)
+
+        monkeypatch.setattr(cli, "srp_inference", fail_last_block)
+        for n in (1, 2):
+            forks = cpus(n)
+            out = tmp_path / str(n)
+            assert main([command, "--srp", "--limit", str(2 * BLOCK_ROWS),
+                         "--model", str(workspace["snn"]), "--data", str(split),
+                         "--out", str(out)]) == EXIT_INVARIANT
+            assert capfd.readouterr().err == "error: no run for the last block\n"
+            assert len(forks) == n - 1
+            self.assert_no_children()
+            assert not out.exists()
+
+
+def test_cli_import_leaves_out_multiprocessing():
+    # importing multiprocessing would add about 6 ms to every command's
+    # start, and the forked block maps do without it
+    code = ("import sys, snnconv.cli; "
+            "print(sorted(m for m in sys.modules if m.startswith(('multiprocessing', 'concurrent'))))")
+    env = dict(os.environ, PYTHONPATH=str(Path(snnconv.__file__).resolve().parents[1]))
+    proc = subprocess.run([sys.executable, "-c", code], env=env, check=True,
+                          capture_output=True, text=True, timeout=60)
+    assert proc.stdout == "[]\n"
 
 
 def test_outputs_independent_of_blas_threads(workspace, tmp_path):

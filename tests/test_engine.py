@@ -1,11 +1,18 @@
 import csv
+import os
+import signal
+import subprocess
+import sys
+import time
 import tracemalloc
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
+from snnconv import network
 from snnconv.activation import qcfs
 from snnconv.engine import (
     SimResult,
@@ -312,6 +319,74 @@ class TestBlocks:
 
         (out,) = map_blocks(fn, rng.normal(size=(2 * BLOCK_ROWS + 1, 3)))
         assert len(alive) == 3 and out.shape == (2 * BLOCK_ROWS + 1, 3)
+
+    def test_forked_blocks_and_nested_map(self, rng, monkeypatch):
+        # three CPUs, three blocks: block 0 runs here and each other block in
+        # its own worker; a map inside any of them runs in that process
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1, 2})
+        x = rng.normal(size=(2 * BLOCK_ROWS + 3, 2))
+
+        def fn(n, block):
+            (inner,) = map_blocks(lambda m, b: [np.full(BLOCK_ROWS, os.getpid())],
+                                  np.zeros(2 * BLOCK_ROWS), fork=True)
+            pid = os.getpid()
+            return [-block, np.full(BLOCK_ROWS, pid), np.full(BLOCK_ROWS, (inner == pid).all())]
+
+        negated, pids, inner_here = map_blocks(fn, x, fork=True)
+        assert np.array_equal(negated, -x) and inner_here.all()
+        here, *workers = (int(pids[start]) for start in range(0, len(x), BLOCK_ROWS))
+        assert here == os.getpid() and len({here, *workers}) == 3
+        with pytest.raises(ChildProcessError):  # all reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_dead_worker_is_an_error(self, rng, monkeypatch):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 1})
+        parent = os.getpid()
+
+        def fn(n, block):
+            if os.getpid() != parent:
+                os.kill(os.getpid(), signal.SIGKILL)
+            return [block]
+
+        with pytest.raises(ChildProcessError, match="ended before block 1"):
+            map_blocks(fn, rng.normal(size=(BLOCK_ROWS + 1, 2)), fork=True)
+        with pytest.raises(ChildProcessError):
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_worker_ends_when_its_parent_dies(self, tmp_path):
+        # the parent exits during its own block; the worker's next write fails
+        pid_file = tmp_path / "worker.pid"
+        code = f"""if True:
+            import os, numpy as np
+            from snnconv import network
+            os.sched_getaffinity = lambda pid: {{0, 1}}
+            parent = os.getpid()
+
+            def fn(n, block):
+                if os.getpid() == parent:
+                    os._exit(0)
+                open({str(pid_file)!r}, "w").write(str(os.getpid()))
+                return [np.zeros((len(block), 100_000))]  # more than a pipe holds
+
+            network.map_blocks(fn, np.zeros((network.BLOCK_ROWS + 1, 1)), fork=True)
+        """
+        subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
+                       stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
+                       env=dict(os.environ, PYTHONPATH=str(Path(network.__file__).parents[1])))
+        deadline = time.monotonic() + 30
+        while not pid_file.exists() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        pid = int(pid_file.read_text())
+
+        def running():
+            stat = Path(f"/proc/{pid}/stat")
+            return stat.exists() and stat.read_text().split()[2] != "Z"
+
+        while running() and time.monotonic() < deadline:
+            time.sleep(0.05)
+        if running():
+            os.kill(pid, signal.SIGKILL)
+            pytest.fail(f"worker {pid} outlived its parent")
 
     @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
     def test_batch_invariance(self, request, fixture):

@@ -1,9 +1,9 @@
 """Every count, number and threshold of the public API follows one rule.
 
 A count (T, tau, L, a spike or sample count, draws, epochs, batch size, a
-seed, a stride, pool or padding, an input size) is an ``int`` or a numpy
-integer no smaller than its least value: ``1.5``, ``2.0``, NaN, inf, ``"2"``
-and ``True`` are refused, as by ``range``.  A number (momentum, weight decay,
+seed, a stride, pool or padding, an input size, a preset's layer width) is
+an ``int`` or a numpy integer no smaller than its least value: ``1.5``,
+``2.0``, NaN, inf, ``"2"`` and ``True`` are refused, as by ``range``.  A number (momentum, weight decay,
 noise, a theorem weight, the normalization mean) is finite, and a threshold
 (theta, lam, the learning rate, the normalization std) is also above zero;
 ``True`` is neither.  A bad value raises :class:`ParameterError`, never a
@@ -85,6 +85,11 @@ COUNTS = [
     (srp_inference, "timesteps", 1, lambda v: srp_inference(SNN, X, 2, v)),
     (mlp_preset, "quant_steps", 1, lambda v: mlp_preset(v)),
     (cnn_preset, "quant_steps", 1, lambda v: cnn_preset(v)),
+    (mlp_preset, "hidden", 1, lambda v: mlp_preset(2, hidden=(3, v), in_features=2)),
+    (mlp_preset, "in_features", 1, lambda v: mlp_preset(2, hidden=(3,), in_features=v)),
+    (mlp_preset, "classes", 1, lambda v: mlp_preset(2, hidden=(3,), in_features=2, classes=v)),
+    (cnn_preset, "channels", 1, lambda v: cnn_preset(2, channels=(2, v), hidden=2)),
+    (cnn_preset, "hidden", 1, lambda v: cnn_preset(2, channels=(2, 2), hidden=v)),
     (NetworkSpec, "quant_steps", 1, lambda v: NetworkSpec(NET.layers, v, NET.input_shape)),
     (NetworkSpec, "input_shape", 1,
      lambda v: NetworkSpec([LayerParams("conv2d", W1)], 2, (1, v, v))),

@@ -229,6 +229,14 @@ class TestTrainLoop:
             with pytest.raises(TrainingDivergenceError, match="epoch"):
                 train(net, x, y, cfg, seed=0)
 
+    @pytest.mark.parametrize("pixel", [np.nan, np.inf, -np.inf])
+    def test_non_finite_pixel_is_data_error(self, rng, pixel):
+        net = init_network(random_dense_net(rng, 4, sizes=[6, 8, 3]), seed=0)
+        x = rng.uniform(0, 1, (16, 6))
+        x[9, 2] = pixel
+        with pytest.raises(DataValidationError, match="NaN or infinite"):
+            train(net, x, rng.integers(0, 3, 16), TrainConfig(epochs=1), seed=0)
+
     def test_no_samples(self, rng):
         net = init_network(random_dense_net(rng, 4, sizes=[6, 8, 3]), seed=0)
         with pytest.raises(DataValidationError, match="no samples"):

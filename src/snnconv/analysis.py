@@ -31,6 +31,7 @@ equivalent to the neuron having over-fired:
 from __future__ import annotations
 
 import math
+import operator
 from collections.abc import Sequence
 from dataclasses import asdict, dataclass, field
 from enum import Enum
@@ -232,7 +233,7 @@ def write_report_json(report: ErrorReport, path) -> None:
 # exhaustive theorem verification
 
 
-MAX_ENUM_TIMESTEPS = 8
+MAX_ENUM_TIMESTEPS = 16
 MAX_PRESYN = 3
 
 
@@ -274,7 +275,8 @@ class TheoremResult(Sequence):
         return math.prod(math.comb(self.timesteps, k) for k in self.counts)
 
     def __getitem__(self, index):
-        i = range(len(self))[index]  # negative indices; IndexError out of range
+        # negative indices; IndexError out of range, TypeError for a slice
+        i = range(len(self))[operator.index(index)]
         ranks = np.unravel_index(i, [math.comb(self.timesteps, k) for k in self.counts])
         timings = tuple(next(islice(combinations(range(self.timesteps), k), r, None))
                         for k, r in zip(self.counts, ranks))

@@ -53,7 +53,7 @@ from .errors import (
     TrainingDivergenceError,
     whole,
 )
-from .network import ann_forward, cnn_preset, map_blocks, mlp_preset
+from .network import ann_forward, cnn_preset, forked_map, mlp_preset
 from .output import check_output, open_output, write_json
 from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
 
@@ -272,8 +272,7 @@ def cmd_eval(args) -> int:
 
     # Only scores are kept: each block's runs are freed before the process
     # that ran it (this one or a forked worker) starts another block.
-    ann, plain, *srp = map_blocks(lambda n, block: _block_scores(args, net, snn, n, block), x,
-                                  fork=True)
+    ann, plain, *srp = forked_map(lambda n, block: _block_scores(args, net, snn, n, block), x)
     acc_ann = _scores_accuracy(ann, handle.labels)
     rows = []
     for k, timesteps in enumerate(args.timesteps):
@@ -305,7 +304,7 @@ def cmd_analyze(args) -> int:
                else snn_simulate(snn, block[:n], args.timesteps))
         return (run.plain.counts if run.plain else []) + run.counts
 
-    counts = map_blocks(block_counts, x, fork=True)
+    counts = forked_map(block_counts, x)
     plain, masked = counts[:len(snn.if_stages)], counts[len(snn.if_stages):]
     # The SRP effect's plain half is the Type II report: one ANN chain serves both.
     effect = srp_effect_report(snn, x, plain, masked, args.timesteps) if args.srp else None

@@ -314,62 +314,11 @@ def layer_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray, *,
 
 
 # True while a forked map runs, in its process and in its workers, so that a
-# map called inside one of its blocks stays serial.
+# forked map called inside one of its blocks stays in that block's process.
 _FORKING = False
 
 
-def _block(arrays, start: int) -> tuple:
-    """``(n, *blocks)``: the ``n`` real rows from ``start`` of each array, zero-padded."""
-    n = min(BLOCK_ROWS, len(arrays[0]) - start)
-    return n, *(np.ascontiguousarray(a[start:start + n]) if n == BLOCK_ROWS else
-                np.pad(a[start:start + n], [(0, BLOCK_ROWS - n)] + [(0, 0)] * (a.ndim - 1))
-                for a in arrays)
-
-
-def _fork_worker(fn, arrays, starts: range) -> tuple:
-    """Fork a process that runs the blocks at ``starts`` and pickles each
-    one's real rows, or the exception that stopped it, into a pipe; returns
-    its pid and the pipe's read end."""
-    read, write = os.pipe()
-    pid = os.fork()
-    if pid == 0:
-        try:  # a worker never returns into its parent's code
-            # Closed here too, so that a write fails once the parent is gone.
-            os.close(read)
-            with os.fdopen(write, "wb") as pipe:
-                try:
-                    for start in starts:
-                        n, *blocks = _block(arrays, start)
-                        pickle.dump([part[:n] for part in fn(n, *blocks)], pipe)
-                        pipe.flush()
-                except BaseException as exc:
-                    pickle.dump(exc, pipe)
-        finally:
-            os._exit(0)
-    os.close(write)
-    return pid, os.fdopen(read, "rb")
-
-
-def _forked_results(fn, arrays, starts: range, workers: list):
-    """Each block's results in block order: of ``P = len(workers) + 1``
-    processes, block ``k`` runs here when ``k % P`` is 0, and otherwise in
-    worker ``k % P - 1``, whose pipe holds its blocks in order."""
-    processes = len(workers) + 1
-    for k, start in enumerate(starts):
-        if k % processes == 0:
-            yield fn(*_block(arrays, start))
-            continue
-        pid, pipe = workers[k % processes - 1]
-        try:
-            result = pickle.load(pipe)
-        except EOFError:
-            raise ChildProcessError(f"block worker {pid} ended before block {k}") from None
-        if isinstance(result, BaseException):
-            raise result
-        yield result
-
-
-def map_blocks(fn, *arrays, fork: bool = False) -> list:
+def map_blocks(fn, *arrays) -> list:
     """Apply ``fn(n, *blocks)`` to ``arrays`` ``BLOCK_ROWS`` rows at a time.
 
     Each block holds the next ``n <= BLOCK_ROWS`` rows of every array, the
@@ -379,56 +328,98 @@ def map_blocks(fn, *arrays, fork: bool = False) -> list:
     go into outputs allocated at the first block, and a block's outputs are
     freed before the next block runs.  Input with no rows is a
     :class:`DataValidationError`, and arrays of unequal row counts a
-    :class:`ShapeError`.
-
-    With ``fork``, the blocks are shared among ``P = min(blocks, CPUs this
-    process may use)`` processes: this one and ``P - 1`` workers forked from
-    it.  Process ``w`` runs blocks ``w, w + P, ...``, each whole, so every
-    bit is as in the serial loop, and a worker sends back only each block's
-    real rows.  An exception raised in a worker is raised here, a worker
-    that dies is a :class:`ChildProcessError`, and every worker has been
-    reaped before this returns.  Each worker holds one block's working
-    memory of its own.  With one block or one CPU, or inside a forked map,
-    the blocks run here, one at a time.
+    :class:`ShapeError`.  The blocks run here, one at a time; see
+    :func:`forked_map` for the CLI's map over several processes.
     """
-    global _FORKING
     total = len(arrays[0])
     if any(len(a) != total for a in arrays):
         raise ShapeError(f"arrays of {[len(a) for a in arrays]} rows cannot share blocks")
     if total == 0:
         raise DataValidationError("input has no samples")
-    starts = range(0, total, BLOCK_ROWS)
-    processes = min(len(starts), len(os.sched_getaffinity(0))) if fork and not _FORKING else 1
-    if processes == 1:
-        return _gather(total, starts, (fn(*_block(arrays, start)) for start in starts))
-    # Imported only here, so that importing the CLI loads nothing a fork alone needs.
-    import signal
-
-    _FORKING, workers = True, []
-    try:
-        for w in range(1, processes):
-            workers.append(_fork_worker(fn, arrays, starts[w::processes]))
-        return _gather(total, starts, _forked_results(fn, arrays, starts, workers))
-    finally:
-        _FORKING = False
-        for pid, pipe in workers:  # a worker past its last block has nothing left to do
-            pipe.close()
-            os.kill(pid, signal.SIGKILL)
-            os.waitpid(pid, 0)
-
-
-def _gather(total: int, starts: range, results) -> list:
-    """Write the blocks' results, an iterator in block order, into outputs of ``total`` rows."""
     out = None
-    for start in starts:
-        parts = next(results)
+    for start in range(0, total, BLOCK_ROWS):
         n = min(BLOCK_ROWS, total - start)
+        parts = fn(n, *(np.ascontiguousarray(a[start:start + n]) if n == BLOCK_ROWS else
+                        np.pad(a[start:start + n], [(0, BLOCK_ROWS - n)] + [(0, 0)] * (a.ndim - 1))
+                        for a in arrays))
         if out is None:
             out = [np.empty((total, *part.shape[1:]), dtype=part.dtype) for part in parts]
         for array, part in zip(out, parts):
             array[start:start + n] = part[:n]
-        del parts, part
+        parts = part = None
     return out
+
+
+def _fork_run(fn, x) -> tuple:
+    """Fork a process that maps ``fn`` over ``x`` and pickles the outputs,
+    or the exception that stopped it, into a pipe in one write; returns its
+    pid and the pipe's read end."""
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        try:  # a worker never returns into its parent's code
+            # Closed here too, so that the write fails once the parent is gone.
+            os.close(read)
+            with os.fdopen(write, "wb") as pipe:
+                try:
+                    pickle.dump(map_blocks(fn, x), pipe)
+                except BaseException as exc:
+                    pickle.dump(exc, pipe)
+        finally:
+            os._exit(0)
+    os.close(write)
+    return pid, os.fdopen(read, "rb")
+
+
+def forked_map(fn, x) -> list:
+    """``map_blocks(fn, x)``, its blocks shared among ``P = min(blocks, CPUs
+    this process may use)`` processes: this one and ``P - 1`` workers forked
+    from it.
+
+    Each process maps one run of consecutive whole blocks, this one the
+    first: runs start at multiples of ``BLOCK_ROWS``, so every block, and
+    every bit, is as in the serial map.  A worker writes its run's outputs
+    once, when the run ends, and the runs are joined in order.  The
+    exception of the earliest failing block is raised here, a worker that
+    dies is a :class:`ChildProcessError` naming its first block, and every
+    worker has been reaped before this returns.  A worker whose parent is
+    gone ends after its run, once its write fails: workers forked after it
+    hold its pipe's read end until their own runs end.  Each worker
+    holds one block's working memory and its run's real rows.  With one
+    block or one CPU, or inside a block of a forked map, it is
+    ``map_blocks``.
+    """
+    global _FORKING
+    blocks = -(-len(x) // BLOCK_ROWS)
+    processes = 1 if _FORKING else min(blocks, len(os.sched_getaffinity(0)))
+    if processes <= 1:
+        return map_blocks(fn, x)
+    # Imported only here, so that importing the CLI loads nothing a fork alone needs.
+    import signal
+
+    # Run r starts at block ceil(r * blocks / P): each run has the floor or
+    # the ceiling of blocks / P, as many as a round-robin deal would give.
+    edges = [BLOCK_ROWS * -(-r * blocks // processes) for r in range(processes + 1)]
+    _FORKING, workers = True, []
+    try:
+        for start, stop in zip(edges[1:-1], edges[2:]):
+            workers.append((start // BLOCK_ROWS, *_fork_run(fn, x[start:stop])))
+        runs = [map_blocks(fn, x[:edges[1]])]
+        for first, pid, pipe in workers:
+            try:
+                result = pickle.load(pipe)
+            except EOFError:
+                raise ChildProcessError(f"block worker {pid} ended before block {first}") from None
+            if isinstance(result, BaseException):
+                raise result
+            runs.append(result)
+        return [np.concatenate(parts) for parts in zip(*runs)]
+    finally:
+        _FORKING = False
+        for _, pid, pipe in workers:  # a worker past its run has nothing left to do
+            pipe.close()
+            os.kill(pid, signal.SIGKILL)
+            os.waitpid(pid, 0)
 
 
 def ann_forward(net: NetworkSpec, x: np.ndarray):

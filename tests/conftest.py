@@ -1,3 +1,5 @@
+import os
+
 import numpy as np
 import pytest
 
@@ -73,3 +75,22 @@ def tiny_trained():
 @pytest.fixture
 def rng():
     return np.random.default_rng(0)
+
+
+@pytest.fixture
+def cpus(monkeypatch):
+    """``cpus(n)`` lets ``forked_map`` see ``n`` CPUs; returns the list that
+    gains an entry per process forked from then on."""
+    forks, fork = [], os.fork
+
+    def counted_fork():
+        forks.append(1)
+        return fork()
+
+    def set_cpus(n):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
+        forks.clear()
+        return forks
+
+    monkeypatch.setattr(os, "fork", counted_fork)
+    return set_cpus

@@ -1,6 +1,7 @@
 import csv
 import itertools
 import json
+import math
 from collections import Counter
 from dataclasses import asdict
 from fractions import Fraction
@@ -547,7 +548,7 @@ class TestTheoremEnumeration:
         assert result.witnesses and not any(v.passed for v in result.witnesses)
 
     @pytest.mark.parametrize("kwargs", [
-        dict(weights=[1.0], timesteps=9, counts=[1]),
+        dict(weights=[1.0], timesteps=17, counts=[1]),
         dict(weights=[1.0], timesteps=0, counts=[0]),
         dict(weights=[1.0, 1.0, 1.0, 1.0], timesteps=4, counts=[1, 1, 1, 1]),
         dict(weights=[1.0, 1.0], timesteps=4, counts=[1]),
@@ -570,8 +571,24 @@ class TestTheoremEnumeration:
             verify_theorem1(**kwargs)
 
     def test_caps_exposed(self):
-        assert MAX_ENUM_TIMESTEPS == 8
+        assert MAX_ENUM_TIMESTEPS == 16
         assert MAX_PRESYN == 3
+
+    @pytest.mark.parametrize("timesteps,counts", [(10, (5, 3, 7)), (16, (8, 8, 8))],
+                             ids=["T10", "T16"])
+    def test_paper_step_counts(self, timesteps, counts, monkeypatch):
+        # the classes' multiplicities cover every placement, 2.1e12 at T = 16
+        classes, judged = [], analysis._judged
+
+        def kept(*args):
+            classes.extend(judged(*args))
+            return classes
+
+        monkeypatch.setattr(analysis, "_judged", kept)
+        result = verify_theorem1([1.3, -0.9, 0.45], timesteps, counts)
+        placements = math.prod(math.comb(timesteps, k) for k in counts)
+        assert sum(n for n, _ in classes) == len(result) == placements
+        assert (result.violations, result.witnesses) == (0, [])
 
     def test_small_random_sweep_clean(self):
         total, violations, witnesses = random_theorem_sweep(10, (2, 4), seed=3)
@@ -646,6 +663,9 @@ class TestTheoremResult:
         assert result[np.int64(5)] == eager[5]
         for index in (n, -n - 1):
             with pytest.raises(IndexError):
+                result[index]
+        for index in (slice(1, 3), slice(None), 1.0):
+            with pytest.raises(TypeError):
                 result[index]
 
     def test_random_sweep_counts_and_failures(self, monkeypatch):

@@ -8,8 +8,8 @@ from snnconv.checkpoint import MAGIC, load_checkpoint, save_checkpoint
 from snnconv.cli import EXIT_DATA, main
 from snnconv.datasets import materialize_idx, synthetic_digits
 from snnconv.engine import convert
-from snnconv.errors import DataFormatError
-from snnconv.network import cnn_preset
+from snnconv.errors import DataFormatError, ParameterError
+from snnconv.network import LayerParams, NetworkSpec, cnn_preset
 from snnconv.training import init_network
 
 from helpers import random_dense_net
@@ -264,6 +264,22 @@ def test_tiny_normalization_std_is_data_error(cnn_files, tmp_path, capsys):
                  "--out", str(out)]) == EXIT_DATA
     err = capsys.readouterr().err
     assert err.startswith("error: standardizing") and "Warning" not in err
+    assert not out.exists()
+
+
+def test_network_without_weighted_layer(cnn_files, tmp_path, capsys):
+    with pytest.raises(ParameterError, match="at least one weighted layer"):
+        NetworkSpec([LayerParams("flatten")], 4, (3,))
+    header = json.dumps(_edited(layers=[{"kind": "flatten"}], input_shape=[3],
+                                payload_count=0)).encode()
+    path = tmp_path / "flatten.ckpt"
+    path.write_bytes(MAGIC + struct.pack("<I", len(header)) + header)
+    with pytest.raises(DataFormatError, match="at least one weighted layer"):
+        load_checkpoint(path)
+    out = tmp_path / "metrics.csv"
+    assert main(["eval", "--model", str(path), "--data", str(cnn_files / "data"),
+                 "--out", str(out)]) == EXIT_DATA
+    assert "at least one weighted layer" in capsys.readouterr().err
     assert not out.exists()
 
 

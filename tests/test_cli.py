@@ -13,7 +13,7 @@ import pytest
 
 import snnconv
 from snnconv import analysis, cli
-from snnconv.checkpoint import load_checkpoint
+from snnconv.checkpoint import load_checkpoint, save_checkpoint
 from snnconv.cli import (
     EXIT_CONFIG,
     EXIT_DATA,
@@ -24,7 +24,7 @@ from snnconv.cli import (
 )
 from snnconv.datasets import DatasetHandle
 from snnconv.errors import ConversionError, ParameterError
-from snnconv.network import BLOCK_ROWS
+from snnconv.network import BLOCK_ROWS, LayerParams, NetworkSpec
 
 from helpers import write_csv_dataset
 
@@ -53,25 +53,6 @@ def workspace(tmp_path_factory):
     assert main(["convert", "--model", str(model), "--out", str(snn),
                  "--report", str(report)]) == EXIT_OK
     return {"root": root, "data": data, "model": model, "snn": snn, "report": report}
-
-
-@pytest.fixture
-def cpus(monkeypatch):
-    """``cpus(n)`` lets ``map_blocks`` see ``n`` CPUs; returns the list that
-    gains an entry per process forked from then on."""
-    forks, fork = [], os.fork
-
-    def counted_fork():
-        forks.append(1)
-        return fork()
-
-    def set_cpus(n):
-        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)))
-        forks.clear()
-        return forks
-
-    monkeypatch.setattr(os, "fork", counted_fork)
-    return set_cpus
 
 
 class TestMakeData:
@@ -399,6 +380,7 @@ class TestPathErrors:
         assert err.startswith("error:") and "Traceback" not in err
         assert sorted(p.name for p in tmp_path.iterdir()) == before
         assert (tmp_path / "file").read_text() == "a file"
+        return err
 
     @pytest.fixture
     def file(self, tmp_path):
@@ -440,6 +422,17 @@ class TestPathErrors:
     def test_eval_model_below_a_file(self, workspace, file, tmp_path, capsys):
         self.check(["eval", "--model", str(file / "x.ckpt"), "--data", str(workspace["data"]),
                     "--out", str(tmp_path / "m.csv")], tmp_path, capsys)
+
+    def test_eval_data_missing(self, workspace, file, tmp_path, capsys):
+        err = self.check(["eval", "--model", str(workspace["snn"]),
+                          "--data", str(tmp_path / "absent.csv"),
+                          "--out", str(tmp_path / "m.csv")], tmp_path, capsys)
+        assert "dataset not found" in err
+
+    def test_eval_data_neither_directory_nor_csv(self, workspace, file, tmp_path, capsys):
+        err = self.check(["eval", "--model", str(workspace["snn"]), "--data", str(file),
+                          "--out", str(tmp_path / "m.csv")], tmp_path, capsys)
+        assert "cannot tell dataset format" in err
 
 
 class TestLimit:
@@ -532,6 +525,15 @@ class TestAnalyze:
         assert main(argv) == EXIT_OK
         assert {p.name: p.read_bytes() for p in out.iterdir()} == first
         assert len(first) == 7  # no temp file is left beside the seven reports
+
+    def test_network_without_if_stage(self, workspace, tmp_path):
+        # a lone classifier is a valid network: its blocks yield no spike counts
+        net = NetworkSpec([LayerParams("dense", np.full((10, 784), 1e-3), np.zeros(10))], 4, (784,))
+        save_checkpoint(net, tmp_path / "linear.ckpt")
+        out = tmp_path / "analysis"
+        assert main(["analyze", "--model", str(tmp_path / "linear.ckpt"), "--srp",
+                     "--data", str(workspace["data"]), "--out", str(out)]) == EXIT_OK
+        assert (out / "type_I.csv").read_text() == "layer,case,fraction\n"
 
     def test_bad_timesteps_writes_nothing(self, workspace, tmp_path):
         # the early output check creates no directory
@@ -720,7 +722,7 @@ class TestVerifyTheorem:
 
     def test_instance_beyond_cap(self):
         code = main(["verify-theorem", "--weights", "1", "--counts", "4",
-                     "--timesteps", "9"])
+                     "--timesteps", "17"])
         assert code == EXIT_CONFIG
 
     @pytest.mark.parametrize("theta", ["-1", "0.5"])

@@ -14,6 +14,11 @@ from hypothesis import example, given, settings, strategies as st
 
 from snnconv import network
 from snnconv.activation import qcfs
+from snnconv.analysis import (
+    error_type_I_distribution,
+    error_type_II_distribution,
+    srp_effect_report,
+)
 from snnconv.engine import (
     SimResult,
     TraceRecorder,
@@ -26,7 +31,9 @@ from snnconv.engine import (
     srp_inference,
 )
 from snnconv.errors import ConversionError, DataValidationError, ParameterError, ShapeError
-from snnconv.network import BLOCK_ROWS, ann_forward, cnn_preset, map_blocks, mlp_preset
+from snnconv.network import (BLOCK_ROWS, ann_forward, cnn_preset, forked_map, map_blocks,
+                              mlp_preset)
+from snnconv.training import accuracy
 
 from helpers import (
     case1_repair_net, positive_dense_net, random_dense_net, scan, timing_fixture_net,
@@ -327,12 +334,12 @@ class TestBlocks:
         x = rng.normal(size=(2 * BLOCK_ROWS + 3, 2))
 
         def fn(n, block):
-            (inner,) = map_blocks(lambda m, b: [np.full(BLOCK_ROWS, os.getpid())],
-                                  np.zeros(2 * BLOCK_ROWS), fork=True)
+            (inner,) = forked_map(lambda m, b: [np.full(BLOCK_ROWS, os.getpid())],
+                                  np.zeros(2 * BLOCK_ROWS))
             pid = os.getpid()
             return [-block, np.full(BLOCK_ROWS, pid), np.full(BLOCK_ROWS, (inner == pid).all())]
 
-        negated, pids, inner_here = map_blocks(fn, x, fork=True)
+        negated, pids, inner_here = forked_map(fn, x)
         assert np.array_equal(negated, -x) and inner_here.all()
         here, *workers = (int(pids[start]) for start in range(0, len(x), BLOCK_ROWS))
         assert here == os.getpid() and len({here, *workers}) == 3
@@ -349,7 +356,7 @@ class TestBlocks:
             return [block]
 
         with pytest.raises(ChildProcessError, match="ended before block 1"):
-            map_blocks(fn, rng.normal(size=(BLOCK_ROWS + 1, 2)), fork=True)
+            forked_map(fn, rng.normal(size=(BLOCK_ROWS + 1, 2)))
         with pytest.raises(ChildProcessError):
             os.waitpid(-1, os.WNOHANG)
 
@@ -368,7 +375,7 @@ class TestBlocks:
                 open({str(pid_file)!r}, "w").write(str(os.getpid()))
                 return [np.zeros((len(block), 100_000))]  # more than a pipe holds
 
-            network.map_blocks(fn, np.zeros((network.BLOCK_ROWS + 1, 1)), fork=True)
+            network.forked_map(fn, np.zeros((network.BLOCK_ROWS + 1, 1)))
         """
         subprocess.run([sys.executable, "-c", code], check=True, timeout=60,
                        stdout=subprocess.DEVNULL, stderr=subprocess.DEVNULL,
@@ -387,6 +394,49 @@ class TestBlocks:
         if running():
             os.kill(pid, signal.SIGKILL)
             pytest.fail(f"worker {pid} outlived its parent")
+
+    @pytest.mark.parametrize("failing,raised", [
+        pytest.param({1: ShapeError, 2: ParameterError}, ShapeError, id="command-then-worker"),
+        pytest.param({3: ParameterError, 4: ShapeError}, ParameterError, id="worker-then-worker"),
+    ])
+    def test_earliest_failing_block_wins(self, cpus, failing, raised):
+        # six blocks on three CPUs: runs [0, 1], [2, 3] and [4, 5]
+        x = np.arange(6.0 * BLOCK_ROWS)
+
+        def fn(n, block):
+            k = int(block[0]) // BLOCK_ROWS
+            if k in failing:
+                raise failing[k](f"block {k}")
+            return [block]
+
+        with pytest.raises(raised) as serial:
+            map_blocks(fn, x)
+        forks = cpus(3)
+        with pytest.raises(raised) as forked:
+            forked_map(fn, x)
+        assert len(forks) == 2 and str(forked.value) == str(serial.value)
+        with pytest.raises(ChildProcessError):  # all reaped
+            os.waitpid(-1, os.WNOHANG)
+
+    def test_library_calls_never_fork(self, tiny_trained, cpus):
+        net, snn, x = tiny_trained["net"], tiny_trained["snn"], tiny_trained["x"]
+        assert BLOCK_ROWS < len(x) <= 2 * BLOCK_ROWS
+        forks = cpus(2)
+        run = srp_inference(snn, x, 2, 4)
+        plain = snn_simulate(snn, x, 4).counts
+        snn_forced_phi(snn, x, 4)
+        error_type_I_distribution(snn, x, plain, 4)
+        error_type_II_distribution(snn, x, plain, 4)
+        srp_effect_report(snn, x, run.plain.counts, run.counts, 4)
+        accuracy(net, x, tiny_trained["y"])
+        assert forks == []
+
+        # the CLI's map forks for the same input, and its runs are whole blocks
+        def rows(n, block):
+            return [np.full(BLOCK_ROWS, n)]
+
+        assert np.array_equal(forked_map(rows, x)[0], map_blocks(rows, x)[0])
+        assert len(forks) == 1
 
     @pytest.mark.parametrize("fixture", ["frozen_mlp", "frozen_cnn"])
     def test_batch_invariance(self, request, fixture):

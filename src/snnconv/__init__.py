@@ -68,6 +68,7 @@ from .network import (
     ann_forward,
     cnn_preset,
     mlp_preset,
+    prepare_inputs,
 )
 from .training import (
     TrainConfig,
@@ -75,7 +76,6 @@ from .training import (
     accuracy,
     cosine_lr,
     init_network,
-    prepare_inputs,
     train,
 )
 
@@ -98,7 +98,7 @@ __all__ = [
     "ParameterError", "ShapeError", "SnnConvError",
     "TrainingDivergenceError",
     "ActivationRecord", "LayerParams", "NetworkSpec", "ann_forward",
-    "cnn_preset", "mlp_preset",
+    "cnn_preset", "mlp_preset", "prepare_inputs",
     "TrainConfig", "TrainHistory", "accuracy", "cosine_lr",
-    "init_network", "prepare_inputs", "train",
+    "init_network", "train",
 ]

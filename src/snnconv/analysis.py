@@ -42,9 +42,9 @@ from itertools import combinations, islice, product
 import numpy as np
 
 from .activation import qcfs_level
-from .engine import SnnNetwork, _checked_input, if_step
+from .engine import SnnNetwork, if_step
 from .errors import ParameterError, ShapeError, finite, positive, whole
-from .network import map_blocks
+from .network import map_blocks, prepare_inputs
 from .output import write_csv, write_json
 
 
@@ -144,7 +144,7 @@ def _reports(error_type: str, snn: SnnNetwork, x: np.ndarray, timesteps: int,
         raise ShapeError(f"a run needs spike counts for each of the {k} IF stages")
     runs = [[np.asarray(c) for c in run] for run in runs]
     rows = map_blocks(partial(_tally, snn, error_type, timesteps),
-                      _checked_input(snn, x), *(c for run in runs for c in run))
+                      prepare_inputs(x, snn.input_shape), *(c for run in runs for c in run))
     reports = [ErrorReport(error_type=error_type) for _ in runs]
     for i, stage in enumerate(snn.if_stages):
         level, *cases = rows[i * (1 + len(runs)):(i + 1) * (1 + len(runs))]

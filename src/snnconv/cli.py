@@ -53,9 +53,9 @@ from .errors import (
     TrainingDivergenceError,
     whole,
 )
-from .network import ann_forward, cnn_preset, forked_map, mlp_preset
+from .network import ann_forward, cnn_preset, forked_map, mlp_preset, prepare_inputs
 from .output import check_output, open_output, write_json
-from .training import TrainConfig, accuracy, init_network, prepare_inputs, train
+from .training import TrainConfig, accuracy, init_network, train
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -137,11 +137,11 @@ def _load_dataset(path, split: str) -> DatasetHandle:
         labels = p / f"{split}-labels-idx1-ubyte"
         if not images.exists() or not labels.exists():
             raise FileNotFoundError(f"no IDX pair for split {split!r} under {p}")
-        return load_idx_pair(images, labels, name=split)
+        return load_idx_pair(images, labels)
     if not p.exists():
         raise FileNotFoundError(f"dataset not found: {path}")
     if p.suffix == ".csv":
-        return load_csv_dataset(p, name=p.stem)
+        return load_csv_dataset(p)
     raise DataFormatError(f"cannot tell dataset format from {path!r}; "
                           "pass a directory of IDX files or a .csv file")
 

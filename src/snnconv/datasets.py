@@ -24,6 +24,7 @@ from pathlib import Path
 import numpy as np
 
 from .errors import DataFormatError, DataValidationError, ParameterError, finite, whole
+from .network import prepare_inputs
 from .output import open_output
 
 IDX_IMAGE_MAGIC = 0x00000803
@@ -35,13 +36,12 @@ NUM_CLASSES = 10
 class DatasetHandle:
     images: np.ndarray     # (n, 1, rows, cols) float64 in [0, 1]
     labels: np.ndarray     # (n,) int64
-    name: str = "dataset"
 
     def __len__(self):
         return self.images.shape[0]
 
     def subset(self, index) -> "DatasetHandle":
-        return DatasetHandle(self.images[index], self.labels[index], self.name)
+        return DatasetHandle(self.images[index], self.labels[index])
 
 
 def _read_exact(fh, n: int, offset: int, what: str) -> bytes:
@@ -90,13 +90,15 @@ def load_idx_labels(path) -> np.ndarray:
     return labels
 
 
-def load_idx_pair(image_path, label_path, name: str = "idx") -> DatasetHandle:
+def load_idx_pair(image_path, label_path, name: str | None = None) -> DatasetHandle:
+    """The IDX image and label files of one split as a handle.  ``name`` is
+    ignored, since a handle holds no name; it stays for callers that pass it."""
     images = load_idx_images(image_path)
     labels = load_idx_labels(label_path)
     if images.shape[0] != labels.shape[0]:
         raise DataValidationError(
             f"{images.shape[0]} images but {labels.shape[0]} labels")
-    return DatasetHandle(images, labels, name)
+    return DatasetHandle(images, labels)
 
 
 def write_idx_images(images: np.ndarray, path) -> None:
@@ -121,7 +123,7 @@ def write_idx_labels(labels: np.ndarray, path) -> None:
 # CSV fallback: header "label,f0,f1,...", one sample per row
 
 
-def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHandle:
+def load_csv_dataset(path, image_side: int = 28) -> DatasetHandle:
     path = Path(path)
     want = image_side * image_side
     labels = []
@@ -159,7 +161,7 @@ def load_csv_dataset(path, image_side: int = 28, name: str = "csv") -> DatasetHa
     # written so that NaN, which fails every comparison, is rejected too
     if not ((images >= 0.0) & (images <= 1.0)).all():
         raise DataValidationError(f"{path.name}: pixel values outside [0, 1] or not finite")
-    return DatasetHandle(images, labels, name)
+    return DatasetHandle(images, labels)
 
 
 # ---------------------------------------------------------------------------
@@ -277,7 +279,7 @@ def synthetic_digits(n: int, seed: int = 0, max_shift: int = 3,
         canvas[r:r + gh, c:c + gw] = big * intensity
         canvas += rng.normal(0.0, noise, size=(side, side))
         images[i, 0] = np.clip(canvas, 0.0, 1.0)
-    return DatasetHandle(images, labels.astype(np.int64), "synthetic")
+    return DatasetHandle(images, labels.astype(np.int64))
 
 
 def materialize_idx(handle: DatasetHandle, directory, prefix: str) -> tuple:
@@ -295,9 +297,10 @@ def materialize_idx(handle: DatasetHandle, directory, prefix: str) -> tuple:
 
 
 def standardization_stats(images: np.ndarray) -> tuple:
-    """(mean, std) over the whole batch; std floored away from zero."""
-    if images.size == 0:
-        raise DataValidationError("no images to standardize")
+    """(mean, std) over the whole batch, which follows
+    :func:`~snnconv.network.prepare_inputs` with samples of any shape; std
+    floored away from zero."""
+    images = prepare_inputs(images, None)
     mean = float(images.mean())
     std = float(images.std())
     if std < 1e-8:
@@ -306,11 +309,13 @@ def standardization_stats(images: np.ndarray) -> tuple:
 
 
 def standardize(images: np.ndarray, stats) -> np.ndarray:
-    """``(images - mean) / std``; a value that leaves float64 (a tiny std
-    overflows) is a :class:`DataValidationError`, not a numpy warning."""
+    """``(images - mean) / std`` of a batch that follows
+    :func:`~snnconv.network.prepare_inputs` with samples of any shape; a
+    value that leaves float64 (a tiny std overflows) is a
+    :class:`DataValidationError`, not a numpy warning."""
     mean, std = stats
     with np.errstate(over="ignore"):
-        out = (images - mean) / std
+        out = (prepare_inputs(images, None) - mean) / std
     if not np.isfinite(out).all():
         raise DataValidationError(f"standardizing by std {std} leaves NaN or infinite values")
     return out

@@ -24,8 +24,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConversionError, DataValidationError, ShapeError, positive, whole
-from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks
+from .errors import ConversionError, positive, whole
+from .network import WEIGHTED_KINDS, NetworkSpec, layer_forward, map_blocks, prepare_inputs
 from .output import write_csv
 
 
@@ -159,12 +159,7 @@ def _checked_input(snn: SnnNetwork, x, **step_counts) -> np.ndarray:
         whole(value, name)
     for theta in snn.thetas:
         positive(theta, "firing threshold")
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != snn.input_shape:
-        raise ShapeError(f"input shape {x.shape[1:]} does not match network {snn.input_shape}")
-    if not np.isfinite(x).all():
-        raise DataValidationError("input contains NaN or infinite values")
-    return x
+    return prepare_inputs(x, snn.input_shape)
 
 
 def _run(snn: SnnNetwork, x: np.ndarray, timesteps: int, tau: int = 0,

@@ -8,7 +8,8 @@ flatten layers are parameter-free linear ops, which is what lets them
 commute with spike-train averaging on the converted network.
 
 Tensor layout is row-major, NCHW for images, with a leading batch axis on
-all forward functions.
+all forward functions, which take float64 arrays: a batch becomes one in
+:func:`prepare_inputs`, the one rule for a batch of samples.
 """
 
 from __future__ import annotations
@@ -123,9 +124,13 @@ class NetworkSpec:
         for l in self.layers:
             if l.kind not in WEIGHTED_KINDS and l.has_activation:
                 raise ParameterError(f"{l.kind} layers cannot carry an activation")
-        shape = (1, *self.input_shape)
-        for layer in self.layers:
-            shape = layer_output_shape(layer, shape)
+        self.output_shape  # raises the ShapeError of the first layer that does not fit
+
+    @property
+    def output_shape(self) -> tuple:
+        """One sample's output shape, chained through every layer from ``input_shape``."""
+        return reduce(lambda shape, layer: layer_output_shape(layer, shape), self.layers,
+                      (1, *self.input_shape))[1:]
 
     @property
     def activation_layers(self) -> list:
@@ -136,12 +141,40 @@ class NetworkSpec:
         return [l.lam for l in self.activation_layers]
 
 
+def prepare_inputs(images, input_shape) -> np.ndarray:
+    """The one rule for a batch of samples: ``images`` as float64 samples of
+    ``input_shape``.
+
+    A batch is an array of numbers (integers or floats; no ``bool``, str
+    or object) with a sample axis first, at least one sample, the size of
+    ``input_shape`` per sample, and no NaN or infinite value.  A batch of
+    another layout is reshaped, and a float64 array of the declared shape is
+    returned as it is.  ``input_shape`` ``None`` takes samples of any shape.
+    A sample of another size is a :class:`ShapeError`; a non-numeric, empty
+    or non-finite batch a :class:`DataValidationError`.
+    """
+    try:
+        x = np.asarray(images)
+    except ValueError:
+        raise ShapeError("the samples of a batch must all have one shape") from None
+    if x.dtype.kind not in "iuf":
+        raise DataValidationError(f"input of dtype {x.dtype} is not numbers")
+    shape = x.shape[1:] if input_shape is None else tuple(input_shape)
+    if x.ndim == 0 or math.prod(x.shape[1:]) != math.prod(shape):
+        raise ShapeError(f"input shape {x.shape[1:]} does not match network {shape}")
+    x = x.astype(np.float64, copy=False)
+    if x.size == 0:
+        raise DataValidationError("input has no samples")
+    if not np.isfinite(x).all():
+        raise DataValidationError("input contains NaN or infinite values")
+    return x if x.shape[1:] == shape else x.reshape(len(x), *shape)
+
+
 # ---------------------------------------------------------------------------
 # layer forward / backward primitives
 
 
 def dense_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     layer_output_shape(params, x.shape)
     out = x @ params.weights.T
     if params.bias is not None:
@@ -180,7 +213,6 @@ def _im2col(x: np.ndarray, kh: int, kw: int, stride: int, oh: int, ow: int) -> n
 
 
 def conv2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    x = np.asarray(x, dtype=np.float64)
     oc, kh, kw, oh, ow = _conv_geometry(params, x.shape)
     if params.padding:
         p = params.padding
@@ -233,7 +265,6 @@ def avgpool2d_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
     faster; from 8 on numpy's ``mean`` sums pairwise, so the last ulp can
     differ.
     """
-    x = np.asarray(x, dtype=np.float64)
     layer_output_shape(params, x.shape)
     k = params.pool
     rows = [reduce(np.add, (x[:, :, i::k, j::k] for j in range(k))) for i in range(k)]
@@ -248,7 +279,7 @@ def avgpool2d_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray,
 
 
 def flatten_forward(params: LayerParams, x: np.ndarray) -> np.ndarray:
-    return np.asarray(x, dtype=np.float64).reshape(x.shape[0], -1)
+    return x.reshape(x.shape[0], -1)
 
 
 def flatten_backward(params: LayerParams, x: np.ndarray, grad_out: np.ndarray,
@@ -326,16 +357,14 @@ def map_blocks(fn, *arrays) -> list:
     with it.  ``fn`` never writes its blocks: a full block is a view.  ``fn``
     returns a sequence of arrays with rows on axis 0; their first ``n`` rows
     go into outputs allocated at the first block, and a block's outputs are
-    freed before the next block runs.  Input with no rows is a
-    :class:`DataValidationError`, and arrays of unequal row counts a
-    :class:`ShapeError`.  The blocks run here, one at a time; see
-    :func:`forked_map` for the CLI's map over several processes.
+    freed before the next block runs.  The arrays hold at least one row
+    each, and arrays of unequal row counts are a :class:`ShapeError`.  The
+    blocks run here, one at a time; see :func:`forked_map` for the CLI's map
+    over several processes.
     """
     total = len(arrays[0])
     if any(len(a) != total for a in arrays):
         raise ShapeError(f"arrays of {[len(a) for a in arrays]} rows cannot share blocks")
-    if total == 0:
-        raise DataValidationError("input has no samples")
     out = None
     for start in range(0, total, BLOCK_ROWS):
         n = min(BLOCK_ROWS, total - start)
@@ -431,11 +460,8 @@ def ann_forward(net: NetworkSpec, x: np.ndarray):
     Training backpropagates from ``record``, and a converted network shares
     these very layer objects, so both see the same forward pass.
     """
-    x = np.asarray(x, dtype=np.float64)
-    if x.shape[1:] != net.input_shape:
-        raise ShapeError(f"input shape {x.shape[1:]} does not match network {net.input_shape}")
     record = ActivationRecord()
-    cur = x
+    cur = prepare_inputs(x, net.input_shape)
     for layer in net.layers:
         record.inputs.append(cur)
         cur = layer_forward(layer, cur)

@@ -16,9 +16,9 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .activation import qcfs_backward
-from .errors import DataValidationError, ParameterError, ShapeError, TrainingDivergenceError
-from .errors import finite, positive, whole
+from .errors import ParameterError, TrainingDivergenceError, finite, positive, whole
 from .network import ActivationRecord, NetworkSpec, ann_forward, layer_backward, map_blocks
+from .network import prepare_inputs
 
 LAM_FLOOR = 1e-3
 # float32, the checkpoint's type, rounds a magnitude from here up to inf
@@ -75,8 +75,7 @@ def init_network(net: NetworkSpec, seed: int) -> NetworkSpec:
     for layer in net.layers:
         if layer.weights is None:
             continue
-        fan_in = layer.weights.shape[1] if layer.kind == "dense" else int(
-            np.prod(layer.weights.shape[1:]))
+        fan_in = math.prod(layer.weights.shape[1:])
         layer.weights = rng.normal(0.0, math.sqrt(2.0 / fan_in), size=layer.weights.shape)
         if layer.bias is not None:
             layer.bias = np.zeros_like(layer.bias)
@@ -125,18 +124,28 @@ def network_backward(net: NetworkSpec, grad_logits: np.ndarray,
     return grads
 
 
-def prepare_inputs(images: np.ndarray, input_shape: tuple) -> np.ndarray:
-    """Reshape a batch to the network's declared input shape."""
-    n = images.shape[0]
-    if images.shape[1:] == tuple(input_shape):
-        return images
-    if int(np.prod(images.shape[1:])) != int(np.prod(input_shape)):
-        raise ShapeError(f"cannot reshape {images.shape[1:]} to {input_shape}")
-    return images.reshape(n, *input_shape)
+def _labels(net: NetworkSpec, labels, count: int) -> np.ndarray:
+    """The one rule for labels: a 1-D integer array of ``count`` labels, one
+    per sample, each in ``[0, classes)`` for the network's ``classes``
+    outputs; a :class:`ParameterError` otherwise."""
+    classes = net.output_shape[0]
+    try:
+        y = np.asarray(labels)
+        if y.dtype.kind in "iu" and y.shape == (count,) and 0 <= y.min() and y.max() < classes:
+            return y
+    except ValueError:  # ragged
+        pass
+    raise ParameterError(f"labels must be {count} integers in [0, {classes})")
 
 
 def accuracy(net: NetworkSpec, images: np.ndarray, labels: np.ndarray) -> float:
-    x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
+    """The share of ``images`` whose largest logit is at their label.
+
+    ``images`` follow :func:`~snnconv.network.prepare_inputs`, and
+    ``labels`` are one integer in ``[0, classes)`` per sample.
+    """
+    x = prepare_inputs(images, net.input_shape)
+    labels = _labels(net, labels, len(x))
     (logits,) = map_blocks(lambda n, block: [ann_forward(net, block)[0]], x)
     return int(np.sum(np.argmax(logits, axis=1) == labels)) / x.shape[0]
 
@@ -152,21 +161,15 @@ def train(net: NetworkSpec, images: np.ndarray, labels: np.ndarray,
     """Train in place; returns the per-epoch history.
 
     The caller owns initialization (see :func:`init_network`), so training
-    for zero epochs leaves the network untouched.  A NaN or infinite input
-    is a :class:`DataValidationError`.  Raises
+    for zero epochs leaves the network untouched.  ``images`` follow
+    :func:`~snnconv.network.prepare_inputs` and ``labels`` the label rule of
+    :func:`accuracy`.  Raises
     :class:`TrainingDivergenceError`, naming the epoch, once a batch's
     arithmetic (a numpy overflow or invalid value) or a parameter in float32
     (the checkpoint's type) stops being finite.
     """
-    x = prepare_inputs(np.asarray(images, dtype=np.float64), net.input_shape)
-    labels = np.asarray(labels)
-    if len(x) == 0:
-        raise DataValidationError("training set has no samples")
-    if not np.isfinite(x).all():
-        raise DataValidationError("input contains NaN or infinite values")
-    classes = net.layers[-1].weights.shape[0] if net.layers[-1].kind == "dense" else None
-    if classes is not None and (labels.min() < 0 or labels.max() >= classes):
-        raise ParameterError(f"labels out of range for {classes} classes")
+    x = prepare_inputs(images, net.input_shape)
+    labels = _labels(net, labels, len(x))
 
     velocities: dict = {}
     rng = np.random.default_rng(whole(seed, "seed", 0) + 1)

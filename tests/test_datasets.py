@@ -222,7 +222,6 @@ class TestSyntheticDigits:
         assert handle.labels.shape == (32,)
         assert handle.images.min() >= 0.0 and handle.images.max() <= 1.0
         assert set(np.unique(handle.labels)) <= set(range(10))
-        assert handle.name == "synthetic"
 
     def test_deterministic_per_seed(self):
         a = synthetic_digits(16, seed=5)

@@ -372,7 +372,10 @@ class TestBlocks:
             def fn(n, block):
                 if os.getpid() == parent:
                     os._exit(0)
-                open({str(pid_file)!r}, "w").write(str(os.getpid()))
+                # renamed into place, so that the poller never reads it half written
+                with open({str(pid_file)!r} + ".tmp", "w") as f:
+                    f.write(str(os.getpid()))
+                os.rename({str(pid_file)!r} + ".tmp", {str(pid_file)!r})
                 return [np.zeros((len(block), 100_000))]  # more than a pipe holds
 
             network.forked_map(fn, np.zeros((network.BLOCK_ROWS + 1, 1)))

@@ -10,12 +10,20 @@ noise, a theorem weight, the normalization mean) is finite, and a threshold
 raw error or a numpy warning, and a layer or network whose shapes do not fit
 raises :class:`ShapeError` when it is built.
 
+A batch of samples (``x`` or ``images``) is numbers, has at least one sample,
+is finite and has the network's input size, in any layout; labels are one
+integer per sample in ``[0, classes)``.  A bad batch raises
+:class:`DataValidationError`, or :class:`ShapeError` for another sample size,
+and bad labels :class:`ParameterError`.
+
 The tables below hold one row per public callable and parameter.  As in
 ``test_defaults``, no linter runs on this repository, so
-:func:`test_every_count_and_threshold_has_a_row` is the check that a new
-function in ``snnconv.__all__`` with such a parameter gets a row.
+:func:`test_every_count_and_threshold_has_a_row` and
+:func:`test_every_batch_has_a_row` are the check that a new function in
+``snnconv.__all__`` with such a parameter gets a row.
 """
 
+import copy
 import inspect
 import warnings
 
@@ -27,6 +35,8 @@ from snnconv import (
     LayerParams,
     NetworkSpec,
     TrainConfig,
+    accuracy,
+    ann_forward,
     classify_cases,
     cnn_preset,
     constant_current_phi,
@@ -36,6 +46,7 @@ from snnconv import (
     even_timing_phi,
     init_network,
     mlp_preset,
+    prepare_inputs,
     qcfs,
     qcfs_backward,
     random_theorem_sweep,
@@ -43,11 +54,13 @@ from snnconv import (
     snn_simulate,
     srp_effect_report,
     srp_inference,
+    standardization_stats,
+    standardize,
     synthetic_digits,
     train,
     verify_theorem1,
 )
-from snnconv.errors import ParameterError, ShapeError
+from snnconv.errors import DataValidationError, ParameterError, ShapeError
 
 COUNT_NAMES = {"timesteps", "tau", "steps", "quant_steps", "draws", "n", "seed"}
 THRESHOLD_NAMES = {"theta", "lam"}
@@ -157,10 +170,10 @@ def _id(row) -> str:
     return f"{row[0].__name__}-{row[1]}"
 
 
-def _refused(call, value) -> None:
+def _refused(call, value, error=ParameterError) -> None:
     with warnings.catch_warnings():
         warnings.simplefilter("error")
-        with pytest.raises(ParameterError):
+        with pytest.raises(error):
             call(value)
 
 
@@ -221,4 +234,145 @@ def test_every_count_and_threshold_has_a_row():
             continue
         missing += [(name, param) for param in inspect.signature(function).parameters
                     if param in COUNT_NAMES | THRESHOLD_NAMES and (name, param) not in rows]
+    assert missing == []
+
+
+# ---------------------------------------------------------------------------
+# batches of samples and labels
+
+
+class Model:
+    """A network, its conversion and the spike counts of a run on two zero samples."""
+
+    def __init__(self, net):
+        self.net, self.snn = net, convert(net)
+        self.counts = snn_simulate(self.snn, np.zeros((2, *net.input_shape)), 1).counts
+        self.classes = net.output_shape[0]
+
+
+MLP = Model(NET)  # samples of 2 values, 10 classes
+# a 1x1 convolution of a 1x2x2 image, then a dense classifier: a flat batch has 4 columns
+CNN = Model(NetworkSpec([LayerParams("conv2d", np.ones((2, 1, 1, 1)), lam=1.0),
+                         LayerParams("flatten"), LayerParams("dense", np.ones((2, 8)))],
+                        2, (1, 2, 2)))
+# the classifier is a convolution and a flatten: 4 classes, one per output value
+CONV_HEAD = Model(NetworkSpec([LayerParams("conv2d", np.ones((2, 1, 1, 1))),
+                               LayerParams("flatten")], 2, (1, 2, 1)))
+BATCH_NAMES = {"x", "images", "labels"}
+
+
+def _train(model, x, y):
+    # on a copy, so that the shared networks stay as built
+    return train(copy.deepcopy(model.net), x, y, TrainConfig(epochs=1))
+
+
+# (callable, parameter, call on a Model and a batch); the last two take samples of any shape
+SAMPLES = [
+    (snn_simulate, "x", lambda m, v: snn_simulate(m.snn, v, 1)),
+    (srp_inference, "x", lambda m, v: srp_inference(m.snn, v, 1, 1)),
+    (snn_forced_phi, "x", lambda m, v: snn_forced_phi(m.snn, v, 1)),
+    (error_type_I_distribution, "x",
+     lambda m, v: error_type_I_distribution(m.snn, v, m.counts, 1)),
+    (error_type_II_distribution, "x",
+     lambda m, v: error_type_II_distribution(m.snn, v, m.counts, 1)),
+    (srp_effect_report, "x", lambda m, v: srp_effect_report(m.snn, v, m.counts, m.counts, 1)),
+    (ann_forward, "x", lambda m, v: ann_forward(m.net, v)),
+    (accuracy, "images", lambda m, v: accuracy(m.net, v, [0, 1])),
+    (train, "images", lambda m, v: _train(m, v, [0, 1])),
+    (prepare_inputs, "images", lambda m, v: prepare_inputs(v, m.net.input_shape)),
+    (standardization_stats, "images", lambda m, v: standardization_stats(v)),
+    (standardize, "images", lambda m, v: standardize(v, (0.5, 2.0))),
+]
+ANY_SHAPE = {standardization_stats, standardize}
+
+# (callable, parameter, call on a Model and two samples' labels)
+LABELS = [
+    (accuracy, "labels", lambda m, v: accuracy(m.net, np.zeros((2, *m.net.input_shape)), v)),
+    (train, "labels", lambda m, v: _train(m, np.zeros((2, *m.net.input_shape)), v)),
+]
+
+# for MLP's samples of 2 values: (error, bad batch)
+BAD_SAMPLES = {
+    "no-samples": (DataValidationError, np.zeros((0, 2))),
+    "nan": (DataValidationError, [[0.0, np.nan], [0.0, 0.0]]),
+    "inf": (DataValidationError, [[0.0, np.inf], [0.0, 0.0]]),
+    "-inf": (DataValidationError, [[0.0, 0.0], [-np.inf, 0.0]]),
+    "str": (DataValidationError, np.full((2, 2), "0.5")),
+    "bool": (DataValidationError, np.zeros((2, 2), bool)),
+    "object": (DataValidationError, [[0.0, 10**400], [0.0, 0.0]]),
+    "ragged": (ShapeError, [[0.0, 0.0], [0.0]]),
+    "scalar": (ShapeError, 0.5),
+    "other-size": (ShapeError, np.zeros((2, 3))),
+}
+# bad labels for two samples, from the network's class count
+BAD_LABELS = {
+    "one-too-few": lambda c: [0],
+    "one-too-many": lambda c: [0, 1, 0],
+    "empty": lambda c: np.zeros(0, np.int64),
+    "column": lambda c: [[0], [1]],
+    "ragged": lambda c: [[0], [1, 0]],
+    "floats": lambda c: [0.0, 1.0],
+    "strs": lambda c: ["0", "1"],
+    "bools": lambda c: [False, True],
+    "negative": lambda c: [-1, 0],
+    "output-width": lambda c: [0, c],
+}
+# (id, model, a batch to accept)
+GOOD_SAMPLES = [
+    ("list-of-lists", MLP, [[0.25, 0.5], [0.75, 1.0]]),
+    ("float32", MLP, np.ones((2, 2), np.float32)),
+    ("int", MLP, np.ones((2, 2), np.int64)),
+    ("flat-cnn", CNN, np.ones((2, 4))),
+    ("nchw-cnn", CNN, np.ones((2, 1, 2, 2))),
+]
+
+
+@pytest.mark.parametrize("row,bad", [
+    pytest.param(row, bad, id=f"{_id(row)}-{bad}") for row in SAMPLES for bad in BAD_SAMPLES
+    if bad not in ("other-size", "scalar") or row[0] not in ANY_SHAPE])
+def test_bad_batch_refused(row, bad):
+    error, value = BAD_SAMPLES[bad]
+    _refused(lambda v: row[2](MLP, v), value, error)
+
+
+@pytest.mark.parametrize("row,good", [
+    pytest.param(row, good, id=f"{_id(row)}-{good[0]}")
+    for row in SAMPLES for good in GOOD_SAMPLES])
+def test_batch_accepted(row, good):
+    _, model, value = good
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        row[2](model, value)
+
+
+@pytest.mark.parametrize("model", [MLP, CONV_HEAD], ids=["dense-head", "conv-flatten-head"])
+@pytest.mark.parametrize("bad", BAD_LABELS)
+@pytest.mark.parametrize("row", LABELS, ids=_id)
+def test_bad_labels_refused(row, bad, model):
+    _refused(lambda v: row[2](model, v), BAD_LABELS[bad](model.classes))
+
+
+@pytest.mark.parametrize("model", [MLP, CONV_HEAD], ids=["dense-head", "conv-flatten-head"])
+@pytest.mark.parametrize("row", LABELS, ids=_id)
+def test_labels_accepted(row, model):
+    top = model.classes - 1
+    for labels in ([0, top], np.array([top, 0], np.uint8), np.array([1, 0], np.int32)):
+        row[2](model, labels)
+
+
+def test_batch_becomes_float64_samples_of_the_declared_shape():
+    x = prepare_inputs(np.arange(8, dtype=np.float32).reshape(2, 4), CNN.net.input_shape)
+    assert x.dtype == np.float64 and x.shape == (2, 1, 2, 2)
+    assert x.ravel().tolist() == list(range(8))
+    assert standardize([[1.0]], (0.5, 2.0)).tolist() == [[0.25]]
+
+
+def test_every_batch_has_a_row():
+    rows = {(f.__name__, name) for f, name, _ in SAMPLES + LABELS}
+    missing = []
+    for name in snnconv.__all__:
+        function = getattr(snnconv, name)
+        if inspect.isfunction(function):
+            missing += [(name, param) for param in inspect.signature(function).parameters
+                        if param in BATCH_NAMES and (name, param) not in rows]
     assert missing == []
